@@ -8,15 +8,28 @@ deviation (divide by u) classify the newest point only: position t is a spike
 when its loss lies strictly outside mean +/- 2 std of its own window. A trace
 of T records therefore yields exactly T - u + 1 decisions.
 
-The streaming RollingWindow and the batch window_stats run the same kernel on
-identically ordered buffers, so their outputs are bit-identical, not merely
-close. The kernel treats an all-equal window specially (std exactly 0.0, mean
-exactly the shared value) so that float summation error cannot conjure a
-nonzero threshold width out of a flat window.
+The window kernel costs O(T) whatever u is (the block trick of van Herk,
+1992). The loss column is cut into blocks of u records, and each block is
+shifted by its own first value. A window starting at offset j of block b is
+the suffix of block b from j plus the prefix of block b + 1 up to j - 1 (the
+whole of block b when j == 0). Per block, cumulative sums of the shifted
+values and their squares give every prefix and suffix; `_merge` joins a
+window's two parts with the pairwise update of Chan, Golub & LeVeque (1983).
+Flat windows are exact: a window with no change of value has std exactly 0.0
+and mean exactly its shared value, so float error cannot conjure a nonzero
+threshold width out of a flat window.
+
+The streaming RollingWindow runs the same arithmetic in the same order: it
+sums the block being filled as it arrives and takes the suffix sums of each
+completed block with the same numpy call as window_stats, so each push is
+O(1) amortised and its mean and std are bit-identical to the batch ones, not
+merely close. `_window_mean_std`, the direct two-pass formula, serves
+`global_std` and is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +39,12 @@ from .errors import TraceError
 DEFAULT_WINDOW = 50
 SPIKE_SIGMA = 2.0
 
-# Rows per kernel invocation; bounds the materialized chunk to ~32 MB of
-# float64 regardless of window size.
+# Float64 cells of kernel temporaries per chunk (~32 MB) regardless of window
+# size. The block kernel holds about _CHUNK_TEMPORARIES arrays as long as its
+# chunk, so a chunk spans _CHUNK_CELLS // _CHUNK_TEMPORARIES records, rounded
+# down to whole blocks (at least one).
 _CHUNK_CELLS = 4_000_000
+_CHUNK_TEMPORARIES = 16
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,8 @@ class LossTrace:
         return len(self.steps)
 
     def validate(self) -> None:
+        if not (np.ndim(self.steps) == np.ndim(self.stages) == np.ndim(self.losses) == 1):
+            raise TraceError("loss trace arrays must be one-dimensional")
         if len(self.steps) == 0:
             raise TraceError("loss trace is empty")
         if not (len(self.steps) == len(self.stages) == len(self.losses)):
@@ -117,17 +135,78 @@ def _check_window(window: int, length: int, name: str = "window") -> None:
         raise ValueError(f"{name} {window} exceeds the trace length {length}")
 
 
+def _suffix_sums(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of y and y*y from each position to the end of its block (last axis)."""
+    return (
+        np.cumsum(y[..., ::-1], axis=-1)[..., ::-1],
+        np.cumsum((y * y)[..., ::-1], axis=-1)[..., ::-1],
+    )
+
+
+def _whole(shift, s, q, window):
+    """Mean and M2 of one whole block from its shifted sum s and square sum q."""
+    return shift + s / window, q - s * (s / window)
+
+
+def _merge(shift_a, s_a, q_a, n_a, shift_b, s_b, q_b, n_b, window):
+    """Mean and M2 of two adjacent parts, each given by its shift and the
+    sums of its shifted values and squares (Chan, Golub & LeVeque 1983).
+
+    Both the batch and the streaming kernel call this, on arrays and on
+    floats, so the two evaluate the same operations in the same order.
+    """
+    m_a = s_a / n_a
+    m_b = s_b / n_b
+    delta = (shift_b - shift_a) + (m_b - m_a)
+    mean = shift_a + (m_a + delta * n_b / window)
+    m2 = (q_a - s_a * m_a) + (q_b - s_b * m_b) + delta * delta * n_a * n_b / window
+    return mean, m2
+
+
+def _block_window_stats(x: np.ndarray, window: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean/std of the windows starting in the first `blocks` blocks of x.
+
+    x holds those blocks plus the block after them, whose prefixes complete
+    the windows; x may end early, and windows reaching past it are garbage.
+    """
+    padded = np.zeros((blocks + 1) * window)
+    padded[: len(x)] = x
+    grid = padded.reshape(blocks + 1, window)
+    shift = grid[:, 0]
+    y = grid - shift[:, None]
+    s, q = _suffix_sums(y[:-1])
+    head = y[1:, :-1]
+    p, pq = np.cumsum(head, axis=1), np.cumsum(head * head, axis=1)
+    mean = np.empty((blocks, window))
+    m2 = np.empty((blocks, window))
+    mean[:, 0], m2[:, 0] = _whole(shift[:-1], s[:, 0], q[:, 0], window)
+    j = np.arange(1, window)
+    mean[:, 1:], m2[:, 1:] = _merge(
+        shift[:-1, None], s[:, 1:], q[:, 1:], window - j, shift[1:, None], p, pq, j, window
+    )
+    var = m2.ravel() / window
+    std = np.sqrt(np.where(var > 0.0, var, 0.0))
+    rows = blocks * window
+    changes = np.concatenate(([0], np.cumsum(padded[1:] != padded[:-1])))
+    flat = changes[window - 1 : window - 1 + rows] == changes[:rows]
+    return np.where(flat, padded[:rows], mean.ravel()), np.where(flat, 0.0, std)
+
+
 def window_stats(trace: LossTrace, window: int = DEFAULT_WINDOW) -> WindowStats:
-    """Batch windowed statistics, chunked so temporaries stay bounded."""
+    """Batch windowed statistics in O(N), chunked at block boundaries so
+    temporaries stay bounded."""
     _check_window(window, len(trace))
-    view = np.lib.stride_tricks.sliding_window_view(trace.losses, window)
-    rows = len(view)
+    losses = trace.losses
+    rows = len(losses) - window + 1
     means = np.empty(rows, dtype=np.float64)
     stds = np.empty(rows, dtype=np.float64)
-    chunk = max(1, _CHUNK_CELLS // window)
-    for start in range(0, rows, chunk):
-        stop = min(start + chunk, rows)
-        means[start:stop], stds[start:stop] = _window_mean_std(view[start:stop])
+    span = max(1, _CHUNK_CELLS // (_CHUNK_TEMPORARIES * window)) * window
+    for start in range(0, rows, span):
+        stop = min(start + span, rows)
+        blocks = -(-(stop - start) // window)
+        chunk = losses[start : start + (blocks + 1) * window]
+        mean, std = _block_window_stats(chunk, window, blocks)
+        means[start:stop], stds[start:stop] = mean[: stop - start], std[: stop - start]
     return WindowStats(window=window, steps=trace.steps[window - 1 :].copy(), means=means, stds=stds)
 
 
@@ -135,16 +214,28 @@ class RollingWindow:
     """Streaming counterpart of window_stats; outputs bit-identical values.
 
     Push values in logged order; once `window` values have arrived, each push
-    updates mean/std for the window ending at that value. The buffer keeps
-    chronological order so the kernel sums in exactly the batch order.
+    updates mean/std for the window ending at that value. Values are cut
+    into blocks of `window` as in window_stats: the running sums of the
+    block being filled give the window's prefix part, and the suffix sums of
+    the last completed block, taken once per block with the batch kernel's
+    numpy call, give its suffix part. `_merge` joins them exactly as in the
+    batch kernel, so each push is O(1) amortised and agrees with
+    window_stats bit for bit. A window whose values are all equal has std
+    exactly 0.0 and mean exactly its first value.
     """
 
     def __init__(self, window: int):
         if not isinstance(window, int) or isinstance(window, bool) or window < 1:
             raise ValueError(f"window must be a positive integer, got {window!r}")
         self.window = window
-        self._buf = np.empty(window, dtype=np.float64)
         self._count = 0
+        self._last = None
+        self._run = 0  # length of the run of equal values ending at self._last
+        self._block = []  # the block being filled
+        self._shift = self._sum = self._sq = 0.0
+        self._prev = []  # the last completed block, with its shift and suffix sums
+        self._prev_shift = 0.0
+        self._suffix = self._suffix_sq = []
         self.mean = None
         self.std = None
 
@@ -153,18 +244,40 @@ class RollingWindow:
         return self._count >= self.window
 
     def push(self, value: float) -> bool:
-        if self._count < self.window:
-            self._buf[self._count] = value
-            self._count += 1
+        value = float(value)
+        block = self._block
+        self._run = self._run + 1 if value == self._last else 1
+        self._last = value
+        if not block:
+            self._shift, self._sum, self._sq = value, 0.0, 0.0
+        y = value - self._shift
+        self._sum += y
+        self._sq += y * y
+        block.append(value)
+        self._count += 1
+        if not self.ready:
+            return False
+        w = self.window
+        j = len(block)
+        if j == w:
+            s, q = _suffix_sums(np.array(block) - self._shift)
+            self._prev, self._prev_shift = block, self._shift
+            self._suffix, self._suffix_sq = s.tolist(), q.tolist()
+            self._block = []
+            first = block[0]
+            mean, m2 = _whole(self._shift, self._suffix[0], self._suffix_sq[0], w)
         else:
-            self._buf[:-1] = self._buf[1:]
-            self._buf[-1] = value
-        if self.ready:
-            mean, std = _window_mean_std(self._buf[None, :])
-            self.mean = float(mean[0])
-            self.std = float(std[0])
-            return True
-        return False
+            first = self._prev[j]
+            mean, m2 = _merge(
+                self._prev_shift, self._suffix[j], self._suffix_sq[j], w - j,
+                self._shift, self._sum, self._sq, j, w,
+            )
+        if self._run >= w:
+            self.mean, self.std = first, 0.0
+        else:
+            var = m2 / w
+            self.mean, self.std = mean, math.sqrt(var) if var > 0.0 else 0.0
+        return True
 
 
 @dataclass(frozen=True)
@@ -190,7 +303,11 @@ class SpikeReport:
 
 def detect_spikes(trace: LossTrace, window: int = DEFAULT_WINDOW) -> SpikeReport:
     """Flag every logged point lying strictly outside mean +/- 2 std of its window."""
-    stats = window_stats(trace, window)
+    return _spike_report(trace, window_stats(trace, window))
+
+
+def _spike_report(trace: LossTrace, stats: WindowStats) -> SpikeReport:
+    window = stats.window
     tested = trace.losses[window - 1 :]
     width = SPIKE_SIGMA * stats.stds
     indicators = (tested > stats.means + width) | (tested < stats.means - width)
@@ -370,7 +487,8 @@ def stability_summary(
     _check_window(window, len(trace))
     _check_window(spike_window, len(trace), name="spike window")
     fluctuation_stats = window_stats(trace, window)
-    spikes = detect_spikes(trace, spike_window)
+    spike_stats = fluctuation_stats if spike_window == window else window_stats(trace, spike_window)
+    spikes = _spike_report(trace, spike_stats)
     if np.any(np.diff(trace.stages) != 0):
         transition_report = stage_transition_ratio(trace)
         transitions = transition_report.transitions

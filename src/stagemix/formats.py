@@ -240,8 +240,10 @@ def load_loss_trace(path) -> LossTrace:
         steps = np.array([r["step"] for r in records], dtype=np.int64)
         stages = np.array([r["stage"] for r in records], dtype=np.int64)
         losses = np.array([r["loss"] for r in records], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: loss records need step/stage/loss ({err})") from None
+    if not (steps.ndim == stages.ndim == losses.ndim == 1):
+        raise FormatError(f"{path}: loss record step/stage/loss must be single numbers")
     trace = LossTrace(steps=steps, stages=stages, losses=losses)
     trace.validate()
     return trace
@@ -263,7 +265,7 @@ def _load_loss_csv(path) -> LossTrace:
     try:
         steps = np.array([int(row[0]) for row in rows], dtype=np.int64)
         losses = np.array([float(row[1]) for row in rows], dtype=np.float64)
-    except (IndexError, ValueError) as err:
+    except (IndexError, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: CSV rows must be 'step,loss' numbers ({err})") from None
     stages = _stages_from_boundaries(steps, boundaries["boundaries"], str(sidecar))
     trace = LossTrace(steps=steps, stages=stages, losses=losses)
@@ -387,7 +389,7 @@ def load_loss_spec(path) -> LossTraceSpec:
                     noise=float(raw.get("noise", 0.0)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise FormatError(f"{path}: stage {pos} needs steps/amplitude/tau numbers ({err})") from None
     injections = []
     for pos, raw in enumerate(data.get("injections", []), start=1):
@@ -395,7 +397,7 @@ def load_loss_spec(path) -> LossTraceSpec:
             raise FormatError(f"{path}: injection {pos} must be an object")
         try:
             injections.append(Injection(step=int(raw["step"]), multiplier=float(raw["multiplier"])))
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise FormatError(f"{path}: injection {pos} needs step/multiplier numbers ({err})") from None
     seed = data.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
@@ -432,7 +434,7 @@ def load_capability_spec(path) -> tuple[CapabilityModelSpec, int | None]:
                 for group, alphas in weights.items()
             },
         )
-    except (TypeError, ValueError, AttributeError) as err:
+    except (TypeError, ValueError, OverflowError, AttributeError) as err:
         raise FormatError(f"{path}: model fields must be numbers ({err})") from None
     seed = data.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):

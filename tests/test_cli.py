@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import stagemix
 from stagemix import (
     DatasetSource,
     EvalSnapshot,
@@ -27,6 +32,14 @@ NOISY_SPEC = {
     "stages": [{"steps": 400, "amplitude": 3.0, "tau": 1e6, "noise": 0.02}],
     "injections": [{"step": 200, "multiplier": 5.0}],
 }
+
+
+def stagemix_process(*argv, module="stagemix"):
+    """Run the CLI in a fresh interpreter, as `python -m MODULE ARGV...`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stagemix.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def cli(capsys, *argv):
@@ -406,3 +419,55 @@ class TestHelp:
     def test_exposure_documents_default_threshold(self, capsys):
         flat = " ".join(self.help_text(capsys, "exposure").split())
         assert "(default: 0.10)" in flat
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["stagemix", "stagemix.cli"])
+    def test_module_runs_the_cli(self, module):
+        result = stagemix_process(module=module)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: stagemix")
+        assert result.stdout == ""
+
+
+class TestHostileInput:
+    """Out-of-range and wrongly shaped numbers are parse errors: exit 3, no traceback."""
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("log.jsonl", '{"step":1e30,"stage":1,"loss":1.0}\n'),
+            ("log.jsonl", '{"step":1,"stage":1,"loss":[1,2]}\n{"step":2,"stage":1,"loss":[3,4]}\n'),
+            ("log.csv", "step,loss\n1" + "0" * 30 + ",1.0\n"),
+        ],
+    )
+    def test_loss_log(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        (tmp_path / "log.stages.json").write_text('{"boundaries": [{"stage": 1, "start_step": 0}]}')
+        result = stagemix_process("analyze", "--trace", str(path), "--window", "1")
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["loss"], '{"stages": [{"steps": 1e400, "amplitude": 3.0, "tau": 100.0}]}'),
+            (
+                ["loss"],
+                '{"stages": [{"steps": 10, "amplitude": 3.0, "tau": 100.0}],'
+                ' "injections": [{"step": 1e400, "multiplier": 2.0}]}',
+            ),
+            (["capability", "--condition", "C", "--steps", "10,50,50"], '{"model": {"eval_interval": 1e400}}'),
+        ],
+    )
+    def test_simulation_spec(self, tmp_path, argv, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        result = stagemix_process(
+            "simulate", *argv, "--spec", str(path), "--seed", "1", "--out", str(tmp_path / "out.jsonl")
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in result.stderr

@@ -75,6 +75,13 @@ class TestTraceValidation:
         with pytest.raises(TraceError, match="not finite"):
             make_trace([1.0, np.inf, 3.0])
 
+    def test_arrays_must_be_one_dimensional(self):
+        trace = LossTrace(
+            steps=np.arange(2), stages=np.ones(2, dtype=np.int64), losses=np.ones((2, 2))
+        )
+        with pytest.raises(TraceError, match="one-dimensional"):
+            trace.validate()
+
     def test_mismatched_lengths(self):
         trace = LossTrace(
             steps=np.arange(3), stages=np.ones(2, dtype=np.int64), losses=np.zeros(3)
@@ -150,6 +157,91 @@ class TestWindowStats:
                 stds.append(roll.std)
         assert np.array_equal(np.array(means), batch.means)
         assert np.array_equal(np.array(stds), batch.stds)
+
+
+def kernel_trace(window, seed=0):
+    """A trace many blocks long that exercises the block kernel's edges.
+
+    Blocks are `window` records long. For windows above 2 the trace ends in
+    a partial block (at 2 it ends on a block boundary), a flat plateau
+    straddles the boundary between blocks 2 and 3, and the first value of
+    block 5 is a spike, the worst case for a block's shift.
+    """
+    rng = np.random.default_rng(seed)
+    n = 9 * window + window // 2 + 1
+    t = np.arange(n)
+    losses = 3.0 * np.exp(-t / n) + rng.normal(0.0, 0.05, n)
+    losses[2 * window - window // 2 - 1 : 3 * window + window // 2 + 2] = 0.1
+    losses[5 * window] = 12.0
+    return make_trace(losses)
+
+
+KERNEL_WINDOWS = [1, 2, 3, 50, 1000]
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("window", KERNEL_WINDOWS)
+    def test_batch_matches_two_pass_reference(self, window):
+        from stagemix.dynamics import _window_mean_std
+
+        trace = kernel_trace(window)
+        x = trace.losses
+        stats = window_stats(trace, window)
+        windows = np.lib.stride_tricks.sliding_window_view
+        ref_mean, ref_std = _window_mean_std(windows(x, window))
+        # float64 bounds for sums of `window` terms. The kernel sums values
+        # shifted by their block's first value c; the between-part term of
+        # the merge and the reference's own error scale with (x - mean)^2.
+        eps = np.finfo(np.float64).eps
+        shift = x[(np.arange(len(x)) // window) * window]
+        spread = windows((x - shift) ** 2, window).max(axis=1)
+        spread += ((windows(x, window) - ref_mean[:, None]) ** 2).max(axis=1)
+        assert np.all(np.abs(stats.means - ref_mean) <= 4 * window * eps * np.abs(x).max())
+        assert np.all(np.abs(stats.stds**2 - ref_std**2) <= 16 * window * eps * spread)
+        flat = ref_std == 0.0
+        assert flat.any()
+        assert np.array_equal(stats.stds == 0.0, flat)
+        assert np.array_equal(stats.means[flat], ref_mean[flat])
+
+    @pytest.mark.parametrize("window", KERNEL_WINDOWS)
+    def test_streaming_matches_batch_bit_for_bit(self, window):
+        trace = kernel_trace(window, seed=1)
+        batch = window_stats(trace, window)
+        roll = RollingWindow(window)
+        means, stds = [], []
+        for value in trace.losses:
+            if roll.push(value):
+                means.append(roll.mean)
+                stds.append(roll.std)
+        assert np.array(means).view(np.int64).tolist() == batch.means.view(np.int64).tolist()
+        assert np.array(stds).view(np.int64).tolist() == batch.stds.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("window", KERNEL_WINDOWS)
+    def test_spike_decisions_match_oracle(self, window):
+        trace = kernel_trace(window, seed=2)
+        report = detect_spikes(trace, window)
+        assert list(report.spike_steps) == oracle_spike_positions(trace.losses, window)
+        if window >= 50:
+            assert 5 * window in report.spike_steps
+
+    def test_summary_computes_shared_windows_once(self, monkeypatch):
+        import stagemix.dynamics as dyn
+
+        calls = []
+        original = dyn.window_stats
+
+        def counted(trace, window):
+            calls.append(window)
+            return original(trace, window)
+
+        monkeypatch.setattr(dyn, "window_stats", counted)
+        trace = kernel_trace(20)
+        summary = dyn.stability_summary(trace, window=20)
+        assert calls == [20]
+        assert summary.spike_frequency == spike_frequency(trace, 20)
+        calls.clear()
+        dyn.stability_summary(trace, window=20, spike_window=30)
+        assert calls == [20, 30]
 
 
 class TestSpikeDetection:

@@ -22,11 +22,14 @@ decimal.Decimal, so score CSV/JSONL round trips are bit-exact.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+from bisect import bisect_right
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import LossTrace
 from .errors import EvalDataError, FormatError, TraceError
@@ -45,8 +48,19 @@ from .simulate import CapabilityModelSpec, Injection, LossTraceSpec, SimStage
 SCHEDULE_FORMAT = "stagemix-schedule/v1"
 
 
+def _not_utf8(path, err: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"{path}: not UTF-8 text ({err.reason})")
+
+
+def _decode(path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
+
+
 def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return _decode(path, Path(path).read_bytes())
 
 
 def _write_text(path, text: str) -> None:
@@ -57,7 +71,7 @@ def load_json(path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:
         raise FormatError(f"{path}: not valid JSON ({err})") from None
 
 
@@ -65,15 +79,204 @@ def save_json(obj, path) -> None:
     _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _jsonl_objects(path) -> list:
-    """Parse one JSON object per line in a single json.loads call."""
-    lines = [line for line in _read_text(path).splitlines() if line.strip()]
-    if not lines:
+def _jsonl_objects(path, lines: list[str]) -> list:
+    """Parse one JSON value per non-blank line of a file in a single json.loads call.
+
+    lines is the file's text split with str.splitlines(); the callers split it
+    without keeping the text, so that it is freed before the parse.
+    """
+    records = [line for line in lines if line.strip()]
+    if len(records) == len(lines):
+        records = lines  # no blank line: free the copy before the parse
+    if not records:
         return []
     try:
-        return json.loads("[" + ",".join(lines) + "]")
+        return json.loads("[" + ",".join(records) + "]")
     except json.JSONDecodeError as err:
+        starts = list(itertools.accumulate((len(line) + 1 for line in records[:-1]), initial=1))
+        index = max(bisect_right(starts, err.pos) - 1, 0)
+        raise FormatError(
+            f"{path}: line {_line_number(lines, index)} is not valid JSON ({err.msg})"
+        ) from None
+    except ValueError as err:  # an integer longer than int() accepts
         raise FormatError(f"{path}: not valid JSON lines ({err})") from None
+
+
+def _line_number(lines: list[str], index: int) -> int:
+    """The 1-based file line of the index-th non-blank line, as _jsonl_objects counts them."""
+    numbers = (number for number, line in enumerate(lines, 1) if line.strip())
+    return next(itertools.islice(numbers, index, None))
+
+
+# JSONL columns: each key of a record layout maps to the Python type its values
+# must have. Integer columns load as int64 arrays, float columns as float64
+# arrays (JSON integers are accepted there), and string columns as a pair
+# (sorted distinct names, int64 index of each record's name).
+LOSS_COLUMNS = {"step": int, "stage": int, "loss": float}
+EVENT_COLUMNS = {"step": int, "stage": int, "dataset": str, "instance": int}
+
+_ALLOWED_TYPES = {int: {int}, float: {int, float}, str: {str}}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _object_columns(path, lines: list[str], objects: list, columns: dict, first: int = 0) -> dict:
+    """Columns from parsed JSONL values, checking every record's fields.
+
+    objects[first:] are the records; errors name the file line they sit on.
+    """
+    records = objects[first:]
+    out = {}
+    for key, kind in columns.items():
+        try:
+            values = [record[key] for record in records]
+        except (KeyError, TypeError):
+            at = next(i for i, r in enumerate(records) if not isinstance(r, dict) or key not in r)
+            line = _line_number(lines, first + at)
+            raise FormatError(f"{path}: line {line} needs {'/'.join(columns)}") from None
+        allowed = _ALLOWED_TYPES[kind]
+        if not set(map(type, values)) <= allowed:
+            at = next(i for i, v in enumerate(values) if type(v) not in allowed)
+            line = _line_number(lines, first + at)
+            raise FormatError(f"{path}: line {line} {key} must be {_TYPE_NAMES[kind]}")
+        if kind is str:
+            out[key] = _factorize(values)
+            continue
+        dtype = np.int64 if kind is int else np.float64
+        try:
+            out[key] = np.array(values, dtype=dtype)
+        except OverflowError:
+            at = next(i for i, v in enumerate(values) if _overflows(v, dtype))
+            line = _line_number(lines, first + at)
+            raise FormatError(f"{path}: line {line} {key} is out of range") from None
+    return out
+
+
+def _overflows(value, dtype) -> bool:
+    try:
+        np.array(value, dtype=dtype)
+    except OverflowError:
+        return True
+    return False
+
+
+_NUMBER_BYTES = np.zeros(256, dtype=bool)
+_NUMBER_BYTES[list(b"0123456789+-.eE,")] = True
+
+
+def _jsonl_columns(data: bytes, columns: dict, start: int = 0) -> dict | None:
+    """Columns of the JSONL lines in data[start:], read without building a dict per line.
+
+    Handles only the layout the writers here produce: every line is exactly
+    `{"k1":v1,...,"km":vm}\\n` with the keys of `columns` in order, integers
+    as at most 18 digits without a leading zero, and strings in ASCII. No
+    token may be wider than the mean line, so that each (lines, width) token
+    matrix stays within the file's size. Any other file, valid or not, gives
+    None (a file whose first line differs at once), and the caller reads it
+    with _jsonl_objects and _object_columns, which also report its errors.
+    Both paths give the same columns for every file this one accepts.
+    """
+    first = data.find(b"\n", start) + 1
+    if 0 < first < len(data) and _jsonl_columns(data[:first], columns, start) is None:
+        return None  # the first line already has another layout: refuse before scanning the rest
+    buf = np.frombuffer(data, dtype=np.uint8)[start:]
+    if not len(buf) or buf[-1] != ord("\n"):
+        return None
+    ends = np.flatnonzero(buf == ord("\n"))
+    n = len(ends)
+    begins = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(buf == ord(","))
+    if len(commas) != n * (len(columns) - 1):
+        return None
+    commas = commas.reshape(n, len(columns) - 1)
+    if (commas[:, 0] <= begins).any() or (commas[:, -1] >= ends).any():
+        return None
+    if (buf[ends - 1] != ord("}")).any():
+        return None
+    field_begins = [begins] + [commas[:, k] + 1 for k in range(len(columns) - 1)]
+    field_ends = [commas[:, k] for k in range(len(columns) - 1)] + [ends - 1]
+    out = {}
+    for k, (key, kind) in enumerate(columns.items()):
+        tag = np.frombuffer((("{" if k == 0 else "") + json.dumps(key) + ":").encode(), dtype=np.uint8)
+        token_begins = field_begins[k] + len(tag)
+        lengths = field_ends[k] - token_begins
+        if lengths.min() < 1:
+            return None
+        if (lengths.max() + 1) * n > len(buf):  # one long token would make every row as wide
+            return None
+        if not (sliding_window_view(buf, len(tag))[field_begins[k]] == tag).all():
+            return None
+        parse = _int_tokens if kind is int else _float_tokens if kind is float else _str_tokens
+        column = parse(buf, token_begins, lengths)
+        if column is None:
+            return None
+        out[key] = column
+    return out
+
+
+def _token_matrix(buf: np.ndarray, begins: np.ndarray, lengths: np.ndarray):
+    """Each token's bytes as one row, left-aligned, and the mask of token bytes."""
+    width = int(lengths.max())
+    rows = np.minimum(begins, len(buf) - width)
+    matrix = sliding_window_view(buf, width)[rows]
+    for i in np.flatnonzero(rows < begins):  # the last tokens, whose row would run past the end
+        matrix[i] = np.roll(matrix[i], rows[i] - begins[i])
+    return matrix, np.arange(width) < lengths[:, None]
+
+
+def _int_tokens(buf, begins, lengths) -> np.ndarray | None:
+    if lengths.max() > 18:
+        return None
+    matrix, inside = _token_matrix(buf, begins, lengths)
+    digits = matrix - ord("0")  # uint8: any other byte wraps to above 9
+    if ((digits > 9) & inside).any() or ((digits[:, 0] == 0) & (lengths > 1)).any():
+        return None
+    values = np.zeros(len(begins), dtype=np.int64)
+    for c in range(matrix.shape[1]):
+        values = np.where(inside[:, c], values * 10 + digits[:, c], values)
+    return values
+
+
+def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
+    # Each token is taken with the delimiter after it, which becomes the
+    # comma (or the closing bracket) of one JSON array, so that JSON's own
+    # grammar and rounding decide every value, as on the general path.
+    matrix, inside = _token_matrix(buf, begins, lengths + 1)
+    joined = matrix[inside]
+    joined[np.cumsum(lengths + 1) - 1] = ord(",")
+    if not _NUMBER_BYTES[joined].all():
+        return None
+    joined[-1] = ord("]")
+    try:
+        return np.array(json.loads(b"[" + joined.tobytes()), dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _str_tokens(buf, begins, lengths):
+    matrix, inside = _token_matrix(buf, begins, lengths)
+    last = matrix[np.arange(len(begins)), lengths - 1]
+    if ((matrix[:, 0] != ord('"')) | (last != ord('"'))).any():
+        return None
+    matrix[~inside] = 0
+    # A token ends in its closing quote, so the NUL padding that S strips is never part of it.
+    raw, inverse = np.unique(matrix.view(f"S{matrix.shape[1]}").ravel(), return_inverse=True)
+    values = []
+    for token in raw.tolist():
+        if not token.isascii():  # json.loads would let encoded surrogates through
+            return None
+        try:
+            values.append(json.loads(token))
+        except ValueError:
+            return None
+    names, codes = _factorize(values)
+    return names, codes[inverse.ravel()]
+
+
+def _factorize(values: list) -> tuple[tuple, np.ndarray]:
+    """(sorted distinct values, int64 index of each value among them)."""
+    names = tuple(sorted(set(values)))
+    index = {name: i for i, name in enumerate(names)}
+    return names, np.array([index[v] for v in values], dtype=np.int64)
 
 
 # -- schedules and registries -------------------------------------------------
@@ -131,29 +334,44 @@ def write_manifest(manifest: Manifest, path) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def read_manifest_header(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{path}: manifest header is not valid JSON ({err})") from None
+def _check_manifest_header(path, header) -> None:
     if not isinstance(header, dict) or header.get("format") != MANIFEST_FORMAT:
         raise FormatError(
             f"{path}: first line must be a manifest header with format {MANIFEST_FORMAT!r}"
         )
+
+
+def read_manifest_header(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            first = handle.readline()
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
+    try:
+        header = json.loads(first)
+    except ValueError as err:
+        raise FormatError(f"{path}: manifest header is not valid JSON ({err})") from None
+    _check_manifest_header(path, header)
     return header
 
 
 def read_manifest(path) -> Manifest:
-    objects = _jsonl_objects(path)
-    if not objects:
-        raise FormatError(f"{path}: empty file, expected a manifest header line")
-    header = objects[0]
-    if not isinstance(header, dict) or header.get("format") != MANIFEST_FORMAT:
-        raise FormatError(
-            f"{path}: first line must be a manifest header with format {MANIFEST_FORMAT!r}"
-        )
+    data = Path(path).read_bytes()
+    start = data.find(b"\n") + 1
+    try:
+        # write_manifest's header is ASCII; non-ASCII line breaks would split it on the general path
+        header = json.loads(data[:start]) if data[:start].isascii() else None
+    except ValueError:
+        header = None
+    columns = _jsonl_columns(data, EVENT_COLUMNS, start) if isinstance(header, dict) else None
+    if columns is None:
+        lines = _decode(path, data).splitlines()
+        del data
+        objects = _jsonl_objects(path, lines)
+        if not objects:
+            raise FormatError(f"{path}: empty file, expected a manifest header line")
+        header = objects[0]
+    _check_manifest_header(path, header)
     for key in ("condition", "seed", "registry_digest", "generator", "stage_steps"):
         if key not in header:
             raise FormatError(f"{path}: manifest header is missing {key!r}")
@@ -161,16 +379,9 @@ def read_manifest(path) -> Manifest:
         stage_steps = {int(k): v for k, v in header["stage_steps"].items()}
     except (AttributeError, ValueError, TypeError):
         raise FormatError(f"{path}: manifest header stage_steps must map stage index to steps") from None
-    events = objects[1:]
-    try:
-        steps = [e["step"] for e in events]
-        stages = [e["stage"] for e in events]
-        datasets = [e["dataset"] for e in events]
-        instances = [e["instance"] for e in events]
-    except (KeyError, TypeError) as err:
-        raise FormatError(f"{path}: manifest event lines need step/stage/dataset/instance ({err})") from None
-    names = tuple(sorted(set(datasets)))
-    name_to_id = {name: i for i, name in enumerate(names)}
+    if columns is None:
+        columns = _object_columns(path, lines, objects, EVENT_COLUMNS, first=1)
+    names, dataset_ids = columns["dataset"]
     return Manifest(
         condition_id=header["condition"],
         seed=header["seed"],
@@ -178,10 +389,10 @@ def read_manifest(path) -> Manifest:
         generator=header["generator"],
         stage_steps=stage_steps,
         dataset_names=names,
-        steps=np.array(steps, dtype=np.int64),
-        stages=np.array(stages, dtype=np.int64),
-        dataset_ids=np.array([name_to_id[d] for d in datasets], dtype=np.int64),
-        instances=np.array(instances, dtype=np.int64),
+        steps=columns["step"],
+        stages=columns["stage"],
+        dataset_ids=dataset_ids,
+        instances=columns["instance"],
     )
 
 
@@ -235,16 +446,13 @@ def load_loss_trace(path) -> LossTrace:
     """
     if str(path).endswith(".csv"):
         return _load_loss_csv(path)
-    records = _jsonl_objects(path)
-    try:
-        steps = np.array([r["step"] for r in records], dtype=np.int64)
-        stages = np.array([r["stage"] for r in records], dtype=np.int64)
-        losses = np.array([r["loss"] for r in records], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise FormatError(f"{path}: loss records need step/stage/loss ({err})") from None
-    if not (steps.ndim == stages.ndim == losses.ndim == 1):
-        raise FormatError(f"{path}: loss record step/stage/loss must be single numbers")
-    trace = LossTrace(steps=steps, stages=stages, losses=losses)
+    data = Path(path).read_bytes()
+    columns = _jsonl_columns(data, LOSS_COLUMNS)
+    if columns is None:
+        lines = _decode(path, data).splitlines()
+        del data
+        columns = _object_columns(path, lines, _jsonl_objects(path, lines), LOSS_COLUMNS)
+    trace = LossTrace(steps=columns["step"], stages=columns["stage"], losses=columns["loss"])
     trace.validate()
     return trace
 
@@ -256,15 +464,12 @@ def _load_loss_csv(path) -> LossTrace:
     boundaries = load_json(sidecar)
     if not isinstance(boundaries, dict) or "boundaries" not in boundaries:
         raise FormatError(f"{sidecar}: expected an object with 'boundaries'")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["step", "loss"]:
-            raise FormatError(f"{path}: CSV loss logs need a 'step,loss' header")
-        rows = list(reader)
+    rows = _csv_rows(path)
+    if not rows or [h.strip() for h in rows[0][:2]] != ["step", "loss"]:
+        raise FormatError(f"{path}: CSV loss logs need a 'step,loss' header")
     try:
-        steps = np.array([int(row[0]) for row in rows], dtype=np.int64)
-        losses = np.array([float(row[1]) for row in rows], dtype=np.float64)
+        steps = np.array([int(row[0]) for row in rows[1:]], dtype=np.int64)
+        losses = np.array([float(row[1]) for row in rows[1:]], dtype=np.float64)
     except (IndexError, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: CSV rows must be 'step,loss' numbers ({err})") from None
     stages = _stages_from_boundaries(steps, boundaries["boundaries"], str(sidecar))
@@ -278,17 +483,18 @@ def _load_loss_csv(path) -> LossTrace:
 
 def load_eval_log(path) -> list[EvalSnapshot]:
     """Read per-task scores and group them into per-step snapshots."""
-    records = _jsonl_objects(path)
+    lines = _read_text(path).splitlines()
+    records = _jsonl_objects(path, lines)
     by_step: dict[int, dict[str, Decimal]] = {}
-    for pos, record in enumerate(records, start=1):
+    for index, record in enumerate(records):
         if not isinstance(record, dict) or not {"step", "task", "score"} <= record.keys():
-            raise FormatError(f"{path}: line {pos} needs step/task/score")
+            raise FormatError(f"{path}: line {_line_number(lines, index)} needs step/task/score")
         step = record["step"]
         task = record["task"]
         if not isinstance(step, int) or isinstance(step, bool):
-            raise FormatError(f"{path}: line {pos} step must be an integer")
+            raise FormatError(f"{path}: line {_line_number(lines, index)} step must be an integer")
         if not isinstance(task, str):
-            raise FormatError(f"{path}: line {pos} task must be a string")
+            raise FormatError(f"{path}: line {_line_number(lines, index)} task must be a string")
         scores = by_step.setdefault(step, {})
         if task in scores:
             raise EvalDataError(f"{path}: duplicate score for task {task!r} at step {step}")
@@ -316,17 +522,24 @@ def write_comparison_csv(table: ComparisonTable, path) -> None:
             writer.writerow([cond] + [str(row[col]) for col in table.columns])
 
 
+def _csv_rows(path) -> list[list[str]]:
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            return list(csv.reader(handle))
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
+
+
 def read_comparison_csv(path) -> list[tuple[str, dict[str, Decimal]]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["condition", *COMPARISON_COLUMNS]:
-            raise FormatError(f"{path}: unexpected comparison CSV header {header!r}")
-        out = []
-        for row in reader:
-            if len(row) != len(header):
-                raise FormatError(f"{path}: row has {len(row)} fields, expected {len(header)}")
-            out.append((row[0], {col: Decimal(v) for col, v in zip(COMPARISON_COLUMNS, row[1:])}))
+    rows = _csv_rows(path)
+    header = rows[0] if rows else None
+    if header != ["condition", *COMPARISON_COLUMNS]:
+        raise FormatError(f"{path}: unexpected comparison CSV header {header!r}")
+    out = []
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row has {len(row)} fields, expected {len(header)}")
+        out.append((row[0], {col: Decimal(v) for col, v in zip(COMPARISON_COLUMNS, row[1:])}))
     return out
 
 
@@ -345,26 +558,25 @@ def write_trajectory_csv(points, path) -> None:
 def read_trajectory_csv(path) -> list[TrajectoryPoint]:
     from .metrics import AggregateScores
 
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(TRAJECTORY_COLUMNS):
-            raise FormatError(f"{path}: unexpected trajectory CSV header {header!r}")
-        out = []
-        for row in reader:
-            if len(row) != 5:
-                raise FormatError(f"{path}: row has {len(row)} fields, expected 5")
-            out.append(
-                TrajectoryPoint(
-                    step=int(row[0]),
-                    scores=AggregateScores(
-                        general=Decimal(row[1]),
-                        reasoning=Decimal(row[2]),
-                        detail=Decimal(row[3]),
-                        overall=Decimal(row[4]),
-                    ),
-                )
+    rows = _csv_rows(path)
+    header = rows[0] if rows else None
+    if header != list(TRAJECTORY_COLUMNS):
+        raise FormatError(f"{path}: unexpected trajectory CSV header {header!r}")
+    out = []
+    for row in rows[1:]:
+        if len(row) != 5:
+            raise FormatError(f"{path}: row has {len(row)} fields, expected 5")
+        out.append(
+            TrajectoryPoint(
+                step=int(row[0]),
+                scores=AggregateScores(
+                    general=Decimal(row[1]),
+                    reasoning=Decimal(row[2]),
+                    detail=Decimal(row[3]),
+                    overall=Decimal(row[4]),
+                ),
             )
+        )
     return out
 
 

@@ -16,9 +16,11 @@ on how many draws came before it in wall-clock terms:
   perm[j % size] of permutation j // size, so every instance appears exactly
   once per pass.
 
-Sampler state is three numbers plus per-dataset draw counts, independent of
-how many events were already emitted; resuming from a saved state continues
-the exact sequence.
+Sampler state is the seed, the next step and the per-dataset draw counts,
+plus the whole condition and registry it samples from (and the registry
+digest), so a saved state resumes on its own. Its size depends on the
+condition and registry, not on how many events were already emitted;
+resuming from a saved state continues the exact sequence.
 """
 
 from __future__ import annotations

@@ -450,6 +450,28 @@ class TestHostileInput:
         assert result.stderr.startswith(f"error: {path}")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("field", ["step", "loss"])
+    @pytest.mark.parametrize(
+        "token", [b"01", b"1.", b".5", b"+1", b"1e", b"-", b"true", b'"3.5"', b"1\xff"]
+    )
+    def test_hostile_token_in_canonical_position(self, tmp_path, field, token):
+        record = {"step": b"1", "stage": b"1", "loss": b"2.5"}
+        record[field] = token
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"step":0,"stage":1,"loss":3.0}\n{"step":%s,"stage":%s,"loss":%s}\n' % tuple(record.values()))
+        result = stagemix_process("analyze", "--trace", str(path), "--window", "1")
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in result.stderr
+
+    def test_nan_loss_is_a_rule_violation(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"step":0,"stage":1,"loss":3.0}\n{"step":1,"stage":1,"loss":NaN}\n')
+        result = stagemix_process("analyze", "--trace", str(path), "--window", "1")
+        assert result.returncode == 1
+        assert "not finite" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize(
         "argv, spec",
         [

@@ -1,9 +1,12 @@
 import json
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stagemix import (
     EvalDataError,
@@ -35,6 +38,14 @@ from stagemix import (
     write_trajectory_csv,
 )
 from stagemix import DatasetSource, ScheduleCondition, StagePlan
+from stagemix.formats import (
+    EVENT_COLUMNS,
+    LOSS_COLUMNS,
+    _decode,
+    _jsonl_columns,
+    _jsonl_objects,
+    _object_columns,
+)
 from fixtures_data import FINAL_SCORES
 
 # small registry keeps manifest fixtures fast
@@ -253,6 +264,251 @@ class TestLossTraceFiles:
             load_loss_trace(path)
 
 
+def general_columns(data: bytes, columns, first=0):
+    """The columns as the general JSONL path reads them."""
+    lines = _decode("log.jsonl", data).splitlines()
+    return _object_columns("log.jsonl", lines, _jsonl_objects("log.jsonl", lines), columns, first)
+
+
+def assert_same_columns(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        if isinstance(want[key], tuple):
+            assert got[key][0] == want[key][0]
+            got_array, want_array = got[key][1], want[key][1]
+        else:
+            got_array, want_array = got[key], want[key]
+        assert got_array.dtype == want_array.dtype
+        assert got_array.tobytes() == want_array.tobytes()
+
+
+# the values every layout below encodes
+LAYOUT_STEPS, LAYOUT_STAGES, LAYOUT_LOSSES = [0, 7], [1, 2], [3.5, 0.125]
+
+MUTATED_LOG = b'{"step":0,"stage":1,"loss":3.5}\n{"step":17,"stage":2,"loss":-1e-05}\n{"step":180,"stage":2,"loss":2}\n'
+MUTATED_EVENTS = (
+    b'{"step":0,"stage":1,"dataset":"a\\u00e9","instance":40}\n'
+    b'{"step":1,"stage":1,"dataset":"b","instance":0}\n{"step":2,"stage":2,"dataset":"a\\u00e9","instance":7}\n'
+)
+MUTATION_BYTES = [bytes([b]) for b in b'0123456789-+.eE ,:"{}[]\n\r\t\\u\x00\x0b\x1c'] + [b"\xff", b"\xc3\xa9", b"NaN", b"true"]
+
+EDGE_FLOATS = [5e-324, 1e-05, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308]
+EDGE_INTS = [0, 10**17, 10**18 - 1, 10**18, 2**63 - 1, -1, -(2**63)]
+
+
+class TestColumnReader:
+    """_jsonl_columns reads the writers' layout; every other layout goes the general way."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(EDGE_INTS), st.integers(-(2**63), 2**63 - 1)),
+                st.one_of(st.sampled_from(EDGE_INTS), st.integers(0, 20)),
+                st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_general_path_on_round_tripped_traces(self, records):
+        steps, stages, losses = (list(column) for column in zip(*records))
+        trace = LossTrace(
+            steps=np.array(steps, dtype=np.int64),
+            stages=np.array(stages, dtype=np.int64),
+            losses=np.array(losses, dtype=np.float64),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "loss.jsonl"
+            save_loss_trace(trace, path)
+            data = path.read_bytes()
+        general = general_columns(data, LOSS_COLUMNS)
+        assert_same_columns(general, {"step": trace.steps, "stage": trace.stages, "loss": trace.losses})
+        fast = _jsonl_columns(data, LOSS_COLUMNS)
+        # the column reader takes integers of up to 18 digits without a sign
+        assert (fast is not None) == all(0 <= v < 10**18 for v in steps + stages)
+        if fast is not None:
+            assert_same_columns(fast, general)
+
+    @given(
+        st.sampled_from([(LOSS_COLUMNS, MUTATED_LOG), (EVENT_COLUMNS, MUTATED_EVENTS)]),
+        st.lists(
+            st.tuples(st.integers(0, 200), st.sampled_from(["replace", "insert", "delete"]), st.sampled_from(MUTATION_BYTES)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_whatever_it_accepts_the_general_path_reads_the_same(self, case, edits):
+        columns, text = case
+        data = bytearray(text)
+        for at, how, byte in edits:
+            at %= len(data)
+            if how == "replace":
+                data[at : at + 1] = byte
+            elif how == "insert":
+                data[at:at] = byte
+            else:
+                del data[at]
+        fast = _jsonl_columns(bytes(data), columns)
+        if fast is not None:
+            assert_same_columns(fast, general_columns(bytes(data), columns))
+
+    @pytest.mark.parametrize(
+        "columns, data",
+        [
+            (LOSS_COLUMNS, b'{"step":0,"stage":1,"loss":3.5]\n'),
+            (LOSS_COLUMNS, b'{"step":,"stage":1,"loss":3.5}\n'),
+            (LOSS_COLUMNS, b'{"step":0,"stage":1,"loss":3.5}\n3'),
+            (EVENT_COLUMNS, b'{"step":0,"stage":1,"dataset":"a"\x00,"instance":0}\n'),
+            (EVENT_COLUMNS, b'{"step":0,"stage":1,"dataset":"\xed\xa0\x80","instance":0}\n'),
+            (EVENT_COLUMNS, b'{"step":0,"stage":1,"dataset":"a\\","instance":0}\n'),
+        ],
+        ids=["bracket", "empty-value", "trailing-value", "nul-after-string", "encoded-surrogate", "open-string"],
+    )
+    def test_near_misses_go_the_general_way(self, columns, data):
+        assert _jsonl_columns(data, columns) is None
+        with pytest.raises(FormatError):
+            general_columns(data, columns)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"stage":1,"step":0,"loss":3.5}\n{"loss":0.125,"step":7,"stage":2}\n',
+            '{"step": 0, "stage": 1, "loss": 3.5}\n{"step":7,"stage":2,"loss":0.125}\n',
+            '{"step":0,"stage":1,"loss":3.5}\r\n{"step":7,"stage":2,"loss":0.125}\r\n',
+            '{"step":0,"stage":1,"loss":3.5}\r{"step":7,"stage":2,"loss":0.125}\r',
+            '\n{"step":0,"stage":1,"loss":3.5}\n\n{"step":7,"stage":2,"loss":0.125}\n\n',
+            '{"step":0,"stage":1,"loss":3.5,"lr":0.1}\n{"step":7,"stage":2,"loss":0.125,"lr":0.1}\n',
+            '{"step":0,"stage":1,"loss":3.5}\n{"step":7,"stage":2,"loss":0.125}',
+            '{"step":0,"stage":1,"loss":35e-1}\n{"step":7,"stage":2,"loss":0.125 }\n',
+            '{"step":-0,"stage":1,"loss":3.5}\n{"step":7,"stage":2,"loss":0.125}\n',
+        ],
+        ids=["reordered", "spaces", "crlf", "cr", "blank-lines", "extra-key", "no-final-newline", "exponent-space", "minus-zero"],
+    )
+    def test_other_layouts_load_the_same_values(self, tmp_path, text):
+        assert _jsonl_columns(text.encode(), LOSS_COLUMNS) is None
+        path = tmp_path / "loss.jsonl"
+        path.write_bytes(text.encode())
+        loaded = load_loss_trace(path)
+        assert_same_columns(
+            {"step": loaded.steps, "stage": loaded.stages, "loss": loaded.losses},
+            {
+                "step": np.array(LAYOUT_STEPS, dtype=np.int64),
+                "stage": np.array(LAYOUT_STAGES, dtype=np.int64),
+                "loss": np.array(LAYOUT_LOSSES, dtype=np.float64),
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "columns, line, long_line",
+        [
+            (LOSS_COLUMNS, '{"step":%d,"stage":1,"loss":0.5}', '{"step":%d,"stage":1,"loss":0.' + "0" * 1000 + "5}"),
+            (
+                EVENT_COLUMNS,
+                '{"step":%d,"stage":1,"dataset":"a","instance":3}',
+                '{"step":%d,"stage":1,"dataset":"' + "b" * 1000 + '","instance":3}',
+            ),
+        ],
+        ids=["loss", "dataset"],
+    )
+    def test_one_long_token_goes_the_general_way(self, columns, line, long_line):
+        # an (n, width) token matrix would cost n times the long token's width
+        lines = [line % i for i in range(2000)]
+        lines[7] = long_line % 7
+        data = ("\n".join(lines) + "\n").encode()
+        assert _jsonl_columns(data, columns) is None
+        short = ("\n".join(lines[:7] + lines[8:]) + "\n").encode()
+        assert _jsonl_columns(short, columns) is not None
+        general = general_columns(data, columns)
+        assert general["step"].tolist() == list(range(2000))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"step":-5,"stage":1,"loss":3.5}\n',
+            '{"step":1000000000000000000,"stage":1,"loss":3.5}\n',
+            '{"step":0,"stage":1,"loss":NaN}\n',
+            '{"step":0,"stage":1,"loss":Infinity}\n',
+        ],
+        ids=["negative", "19-digits", "nan", "infinity"],
+    )
+    def test_other_values_go_the_general_way(self, text):
+        data = text.encode()
+        assert _jsonl_columns(data, LOSS_COLUMNS) is None
+        general = general_columns(data, LOSS_COLUMNS)
+        want = json.loads(text)
+        assert general["step"].tolist() == [want["step"]]
+        assert general["loss"].tobytes() == np.array([want["loss"]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"step":1.5,"stage":1,"loss":1.0}', "line 3 step must be an integer"),
+            ('{"step":2,"stage":true,"loss":1.0}', "line 3 stage must be an integer"),
+            ('{"step":2,"stage":1,"loss":"3.5"}', "line 3 loss must be a number"),
+            ('{"step":2,"stage":1,"loss":[1, 2]}', "line 3 loss must be a number"),
+            ('{"step":2,"stage":1}', "line 3 needs step/stage/loss"),
+            ('{"step":2,"stage":1,"loss":01}', "line 3 is not valid JSON"),
+            ('{"step":99999999999999999999,"stage":1,"loss":1.0}', "line 3 step is out of range"),
+        ],
+    )
+    def test_wrong_values_name_the_file_line(self, tmp_path, record, message):
+        path = tmp_path / "loss.jsonl"
+        path.write_text('{"step":0,"stage":1,"loss":1.0}\n\n' + record + "\n")
+        with pytest.raises(FormatError, match=f"^{path}: {message}"):
+            load_loss_trace(path)
+
+    @pytest.mark.parametrize(
+        "load, name, content",
+        [
+            (load_loss_trace, "loss.jsonl", b'{"step":0,"stage":1,"loss":1.0\xff}\n'),
+            (load_loss_trace, "loss.csv", b"step,loss\n0,1.0\xff\n"),
+            (read_manifest, "run.jsonl", b'{"format":"stagemix-manifest/v1\xff"}\n'),
+            (read_manifest_header, "run.jsonl", b'{"format":"stagemix-manifest/v1\xff"}\n'),
+            (read_comparison_csv, "cmp.csv", b"condition\xff\n"),
+            (read_trajectory_csv, "traj.csv", b"step\xff\n"),
+            (load_conditions, "schedule.json", b'{"stages": "\xff"}'),
+        ],
+    )
+    def test_non_utf8_input_names_the_file(self, tmp_path, load, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        (tmp_path / "loss.stages.json").write_text('{"boundaries": [{"stage": 1, "start_step": 0}]}')
+        with pytest.raises(FormatError, match=f"^{path}: not UTF-8"):
+            load(path)
+
+    @pytest.mark.parametrize("names", [("caf\u00e9", 'quo"te'), ("caf\u00e9", "com,ma")])
+    def test_manifest_round_trip_with_escaped_names(self, tmp_path, names):
+        registry = (DatasetSource(names[0], "D0-alignment", 5), DatasetSource(names[1], "D1-general", 3))
+        condition = ScheduleCondition(
+            id="toy", stages=(StagePlan(1, 4, {names[0]: 1.0}), StagePlan(2, 9, {names[0]: 0.5, names[1]: 0.5}))
+        )
+        manifest = generate_manifest(condition, registry, seed=5)
+        path = tmp_path / "run.jsonl"
+        write_manifest(manifest, path)
+        data = path.read_bytes()
+        assert b"\\u00e9" in data
+        start = data.find(b"\n") + 1
+        general = general_columns(data, EVENT_COLUMNS, first=1)
+        fast = _jsonl_columns(data, EVENT_COLUMNS, start)
+        # a comma inside a name sends the file the general way
+        assert (fast is None) == ("com,ma" in names)
+        if fast is not None:
+            assert_same_columns(fast, general)
+        loaded = read_manifest(path)
+        assert loaded.dataset_names == tuple(sorted(names))
+        assert list(loaded.events()) == list(manifest.events())
+
+    def test_manifest_event_types_are_checked(self, tmp_path):
+        manifest = generate_manifest(SMALL_CONDITION, SMALL_REGISTRY, seed=3)
+        path = tmp_path / "run.jsonl"
+        write_manifest(manifest, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"instance":', '"instance":0.5,"x":')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"^{path}: line 3 instance must be an integer"):
+            read_manifest(path)
+
+
 class TestEvalLogFiles:
     def snapshots(self):
         return [
@@ -277,6 +533,12 @@ class TestEvalLogFiles:
             '{"step":1,"task":"AI2D","score":50.0}\n{"step":1,"task":"AI2D","score":51.0}\n'
         )
         with pytest.raises(EvalDataError, match="duplicate"):
+            load_eval_log(path)
+
+    def test_errors_name_the_file_line(self, tmp_path):
+        path = tmp_path / "eval.jsonl"
+        path.write_text('{"step":1,"task":"AI2D","score":50.0}\n\n{"step":1,"task":7,"score":50.0}\n')
+        with pytest.raises(FormatError, match=f"^{path}: line 3 task must be a string"):
             load_eval_log(path)
 
     def test_missing_field(self, tmp_path):

@@ -400,6 +400,8 @@ def read_manifest(path) -> Manifest:
 
 
 def save_loss_trace(trace: LossTrace, path) -> None:
+    if not np.isfinite(trace.losses).all():  # repr of inf or nan is not JSON: refuse, write nothing
+        trace.validate()
     steps = trace.steps.tolist()
     stages = trace.stages.tolist()
     losses = trace.losses.tolist()
@@ -530,17 +532,28 @@ def _csv_rows(path) -> list[list[str]]:
         raise _not_utf8(path, err) from None
 
 
-def read_comparison_csv(path) -> list[tuple[str, dict[str, Decimal]]]:
+def _csv_table(path, kind: str, columns, parse_row) -> list:
+    """`parse_row` of every row after the header `columns`; a bad number is a FormatError."""
     rows = _csv_rows(path)
     header = rows[0] if rows else None
-    if header != ["condition", *COMPARISON_COLUMNS]:
-        raise FormatError(f"{path}: unexpected comparison CSV header {header!r}")
+    if header != list(columns):
+        raise FormatError(f"{path}: unexpected {kind} CSV header {header!r}")
     out = []
-    for row in rows[1:]:
+    for number, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise FormatError(f"{path}: row has {len(row)} fields, expected {len(header)}")
-        out.append((row[0], {col: Decimal(v) for col, v in zip(COMPARISON_COLUMNS, row[1:])}))
+            raise FormatError(f"{path}: row {number} has {len(row)} fields, expected {len(header)}")
+        try:
+            out.append(parse_row(row))
+        except (ValueError, ArithmeticError):  # int() and Decimal() of a non-number
+            raise FormatError(f"{path}: row {number} holds a value that is not a number") from None
     return out
+
+
+def read_comparison_csv(path) -> list[tuple[str, dict[str, Decimal]]]:
+    def parse_row(row):
+        return row[0], {col: Decimal(v) for col, v in zip(COMPARISON_COLUMNS, row[1:])}
+
+    return _csv_table(path, "comparison", ("condition", *COMPARISON_COLUMNS), parse_row)
 
 
 TRAJECTORY_COLUMNS = ("step", "general", "reasoning", "detail", "overall")
@@ -558,26 +571,11 @@ def write_trajectory_csv(points, path) -> None:
 def read_trajectory_csv(path) -> list[TrajectoryPoint]:
     from .metrics import AggregateScores
 
-    rows = _csv_rows(path)
-    header = rows[0] if rows else None
-    if header != list(TRAJECTORY_COLUMNS):
-        raise FormatError(f"{path}: unexpected trajectory CSV header {header!r}")
-    out = []
-    for row in rows[1:]:
-        if len(row) != 5:
-            raise FormatError(f"{path}: row has {len(row)} fields, expected 5")
-        out.append(
-            TrajectoryPoint(
-                step=int(row[0]),
-                scores=AggregateScores(
-                    general=Decimal(row[1]),
-                    reasoning=Decimal(row[2]),
-                    detail=Decimal(row[3]),
-                    overall=Decimal(row[4]),
-                ),
-            )
-        )
-    return out
+    def parse_row(row):
+        scores = AggregateScores(**{col: Decimal(v) for col, v in zip(TRAJECTORY_COLUMNS[1:], row[1:])})
+        return TrajectoryPoint(step=int(row[0]), scores=scores)
+
+    return _csv_table(path, "trajectory", TRAJECTORY_COLUMNS, parse_row)
 
 
 # -- simulation specs --------------------------------------------------------------

@@ -16,6 +16,12 @@ on how many draws came before it in wall-clock terms:
   perm[j % size] of permutation j // size, so every instance appears exactly
   once per pass.
 
+Because every word is addressed by offset, the events of steps
+[step, step + count) are a pure function of the seed, `step` and the
+per-dataset draw counts before `step`. One kernel, `ManifestSampler._draw`,
+computes such a chunk and advances the counts: `generate_manifest` runs it
+once over the whole schedule, and the sampler runs it chunk by chunk.
+
 Sampler state is the seed, the next step and the per-dataset draw counts,
 plus the whole condition and registry it samples from (and the registry
 digest), so a saved state resumes on its own. Its size depends on the
@@ -25,6 +31,7 @@ resuming from a saved state continues the exact sequence.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -33,12 +40,12 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .schedule import (
     ScheduleCondition,
+    _require_valid,
     condition_as_dict,
     condition_from_dict,
     registry_as_list,
     registry_digest,
     registry_from_list,
-    validate_condition,
 )
 
 GENERATOR_ID = "philox4x64/choice-u53-invcdf/perm-argsort/v1"
@@ -72,16 +79,27 @@ def _uniforms(seed: int, tag: int, offset: int, count: int) -> np.ndarray:
     return (_raw_words(seed, tag, offset, count) >> np.uint64(11)) * _U53_SCALE
 
 
-def _instance_block(seed: int, tag: int, size: int, start: int, count: int) -> np.ndarray:
-    """Instances for draws [start, start + count) of one dataset's stream."""
+def _instance_block(
+    seed: int, tag: int, size: int, start: int, count: int, perms: dict
+) -> np.ndarray:
+    """Instances for draws [start, start + count) of one dataset's stream.
+
+    `perms` maps tag -> (refill, perm) for the last permutation sorted, so a
+    run of small blocks sorts each permutation once.
+    """
     out = np.empty(count, dtype=np.int64)
     filled = 0
     draw = start
     while filled < count:
         refill, pos = divmod(draw, size)
         take = min(size - pos, count - filled)
-        perm = np.argsort(_raw_words(seed, tag, refill * size, size), kind="stable")
-        out[filled : filled + take] = perm[pos : pos + take]
+        last = perms.get(tag)
+        if last is None or last[0] != refill:
+            last = perms[tag] = (
+                refill,
+                np.argsort(_raw_words(seed, tag, refill * size, size), kind="stable"),
+            )
+        out[filled : filled + take] = last[1][pos : pos + take]
         filled += take
         draw += take
     return out
@@ -101,7 +119,6 @@ class _StageSlice:
     index: int
     start: int
     steps: int
-    names: tuple[str, ...]
     boundaries: np.ndarray
     global_ids: np.ndarray
 
@@ -119,21 +136,12 @@ def _stage_slices(cond: ScheduleCondition, name_to_id: dict[str, int]) -> tuple[
                 index=stage.index,
                 start=start,
                 steps=stage.steps,
-                names=names,
                 boundaries=boundaries,
                 global_ids=np.array([name_to_id[n] for n in names], dtype=np.int64),
             )
         )
         start += stage.steps
     return tuple(slices)
-
-
-def _require_valid(cond: ScheduleCondition, registry) -> None:
-    result = validate_condition(cond, registry)
-    if not result.ok:
-        from .errors import InvalidScheduleError
-
-        raise InvalidScheduleError(result.violations)
 
 
 @dataclass(frozen=True)
@@ -176,86 +184,34 @@ class Manifest:
 
 
 def generate_manifest(cond: ScheduleCondition, registry, seed: int) -> Manifest:
-    """Materialize the full event sequence for a condition in one vectorized pass."""
-    _check_seed(seed)
-    _require_valid(cond, registry)
-    names = tuple(sorted(src.name for src in registry))
-    sizes = {src.name: src.size for src in registry}
-    name_to_id = {name: i for i, name in enumerate(names)}
-    total = cond.total_steps()
-    stages = np.empty(total, dtype=np.int64)
-    gids = np.empty(total, dtype=np.int64)
-    for sl in _stage_slices(cond, name_to_id):
-        if sl.steps == 0:
-            continue
-        u = _uniforms(seed, _CHOICE_TAG, sl.start, sl.steps)
-        pos = np.searchsorted(sl.boundaries, u, side="right")
-        stages[sl.start : sl.start + sl.steps] = sl.index
-        gids[sl.start : sl.start + sl.steps] = sl.global_ids[pos]
-    instances = np.empty(total, dtype=np.int64)
-    for gid, name in enumerate(names):
-        where = np.flatnonzero(gids == gid)
-        if len(where):
-            instances[where] = _instance_block(seed, 1 + gid, sizes[name], 0, len(where))
-    return Manifest(
-        condition_id=cond.id,
-        seed=seed,
-        registry_digest=registry_digest(registry),
-        generator=GENERATOR_ID,
-        stage_steps={stage.index: stage.steps for stage in cond.stages},
-        dataset_names=names,
-        steps=np.arange(total, dtype=np.int64),
-        stages=stages,
-        dataset_ids=gids,
-        instances=instances,
-    )
+    """Materialize the full event sequence: the sampler's kernel run once from step 0."""
+    sampler = ManifestSampler(cond, registry, seed)
+    total = sampler.total_steps
+    columns = sampler._draw(total)  # before arange: the draw's peak need not hold it
+    return sampler._manifest(np.arange(total, dtype=np.int64), *columns)
 
 
 def assemble_manifest(cond: ScheduleCondition, registry, seed: int, events) -> Manifest:
     """Build a Manifest from an explicit event list (e.g. a resumed sampler run)."""
-    names = tuple(sorted(src.name for src in registry))
-    name_to_id = {name: i for i, name in enumerate(names)}
+    sampler = ManifestSampler(cond, registry, seed)
     events = list(events)
-    return Manifest(
-        condition_id=cond.id,
-        seed=seed,
-        registry_digest=registry_digest(registry),
-        generator=GENERATOR_ID,
-        stage_steps={stage.index: stage.steps for stage in cond.stages},
-        dataset_names=names,
-        steps=np.array([e.step for e in events], dtype=np.int64),
-        stages=np.array([e.stage for e in events], dtype=np.int64),
-        dataset_ids=np.array([name_to_id[e.dataset] for e in events], dtype=np.int64),
-        instances=np.array([e.instance for e in events], dtype=np.int64),
+    return sampler._manifest(
+        np.array([e.step for e in events], dtype=np.int64),
+        np.array([e.stage for e in events], dtype=np.int64),
+        np.array([sampler._name_to_id[e.dataset] for e in events], dtype=np.int64),
+        np.array([e.instance for e in events], dtype=np.int64),
     )
 
 
-class _PermutationCursor:
-    """Caches the current permutation of one dataset's pool."""
-
-    def __init__(self, seed: int, tag: int, size: int):
-        self.seed = seed
-        self.tag = tag
-        self.size = size
-        self.refill = -1
-        self.perm = None
-
-    def instance(self, draw: int) -> int:
-        refill, pos = divmod(draw, self.size)
-        if refill != self.refill:
-            self.perm = np.argsort(
-                _raw_words(self.seed, self.tag, refill * self.size, self.size), kind="stable"
-            )
-            self.refill = refill
-        return int(self.perm[pos])
-
-
 class ManifestSampler:
-    """Sequential event generator with O(#datasets) resumable state.
+    """Resumable event generator with O(#datasets) state.
 
-    The sampler is strictly sequential: one event per call, in global step
-    order. Its state never references emitted events, only the next step and
-    per-dataset draw counts, so `from_state(s.state())` continues bit-exactly.
+    Events come out strictly in global step order. The kernel, `_draw`,
+    produces the next steps from the current step and draw counts. `take`
+    calls it `_CHUNK` steps at a time; `next_event` and iteration read from
+    an ahead-buffer that it fills one chunk at a time. The state counts only
+    events already handed out (the buffer is not part of it) and never
+    references them, so `from_state(s.state())` continues bit-exactly.
     """
 
     _CHUNK = 4096
@@ -269,18 +225,15 @@ class ManifestSampler:
         self._digest = registry_digest(registry)
         self._names = tuple(sorted(src.name for src in registry))
         self._name_to_id = {name: i for i, name in enumerate(self._names)}
-        sizes = {src.name: src.size for src in registry}
+        self._sizes = [src.size for src in sorted(registry, key=lambda src: src.name)]
         self._slices = _stage_slices(cond, self._name_to_id)
         self._total = cond.total_steps()
-        self._next_step = 0
-        self._stage_pos = 0
-        self._draws = {name: 0 for name in self._names}
-        self._cursors = {
-            name: _PermutationCursor(seed, 1 + self._name_to_id[name], sizes[name])
-            for name in self._names
-        }
-        self._buf = np.empty(0, dtype=np.float64)
-        self._buf_start = 0
+        # Kernel position: the next step to draw and the draws per dataset id.
+        self._step = 0
+        self._drawn = [0] * len(self._names)
+        self._perms: dict = {}
+        # Drawn but not yet handed out, oldest first.
+        self._ahead: deque[ManifestEvent] = deque()
 
     @property
     def total_steps(self) -> int:
@@ -288,50 +241,99 @@ class ManifestSampler:
 
     @property
     def next_step(self) -> int:
-        return self._next_step
+        return self._step - len(self._ahead)
 
     @property
     def events_remaining(self) -> int:
-        return self._total - self._next_step
+        return self._total - self.next_step
 
-    def _uniform_for(self, step: int) -> float:
-        if not (self._buf_start <= step < self._buf_start + len(self._buf)):
-            count = min(self._CHUNK, self._total - step)
-            self._buf = _uniforms(self.seed, _CHOICE_TAG, step, count)
-            self._buf_start = step
-        return float(self._buf[step - self._buf_start])
+    def _draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stages, dataset ids and instances of the next `count` steps; advances past them."""
+        start = self._step
+        end = start + count
+        stages = np.empty(count, dtype=np.int64)
+        gids = np.empty(count, dtype=np.int64)
+        for sl in self._slices:
+            lo = max(start, sl.start)
+            hi = min(end, sl.start + sl.steps)
+            if lo >= hi:
+                continue
+            u = _uniforms(self.seed, _CHOICE_TAG, lo, hi - lo)
+            pos = np.searchsorted(sl.boundaries, u, side="right")
+            stages[lo - start : hi - start] = sl.index
+            gids[lo - start : hi - start] = sl.global_ids[pos]
+        instances = np.empty(count, dtype=np.int64)
+        for gid, size in enumerate(self._sizes):
+            where = np.flatnonzero(gids == gid)
+            if len(where):
+                # Nothing draws after the schedule's last step: keep no permutation then.
+                perms = self._perms if end < self._total else {}
+                instances[where] = _instance_block(
+                    self.seed, 1 + gid, size, self._drawn[gid], len(where), perms
+                )
+                self._drawn[gid] += len(where)
+        self._step = end
+        return stages, gids, instances
+
+    def _manifest(self, steps, stages, dataset_ids, instances) -> Manifest:
+        return Manifest(
+            condition_id=self.condition.id,
+            seed=self.seed,
+            registry_digest=self._digest,
+            generator=GENERATOR_ID,
+            stage_steps={stage.index: stage.steps for stage in self.condition.stages},
+            dataset_names=self._names,
+            steps=steps,
+            stages=stages,
+            dataset_ids=dataset_ids,
+            instances=instances,
+        )
+
+    def _events(self, count: int) -> list[ManifestEvent]:
+        start = self._step
+        stages, gids, instances = self._draw(count)
+        datasets = map(self._names.__getitem__, gids.tolist())
+        steps = range(start, start + count)
+        return list(map(ManifestEvent, steps, stages.tolist(), datasets, instances.tolist()))
+
+    def _exhausted(self) -> ValueError:
+        return ValueError(f"sampler exhausted: the schedule has {self._total} steps")
 
     def next_event(self) -> ManifestEvent:
-        if self._next_step >= self._total:
-            raise ValueError(f"sampler exhausted: the schedule has {self._total} steps")
-        step = self._next_step
-        while step >= self._slices[self._stage_pos].start + self._slices[self._stage_pos].steps:
-            self._stage_pos += 1
-        sl = self._slices[self._stage_pos]
-        u = self._uniform_for(step)
-        pos = int(np.searchsorted(sl.boundaries, u, side="right"))
-        name = sl.names[pos]
-        draw = self._draws[name]
-        self._draws[name] = draw + 1
-        instance = self._cursors[name].instance(draw)
-        self._next_step = step + 1
-        return ManifestEvent(step, sl.index, name, instance)
+        if not self._ahead:
+            if self._step >= self._total:
+                raise self._exhausted()
+            self._ahead.extend(self._events(min(self._CHUNK, self._total - self._step)))
+        return self._ahead.popleft()
 
     def take(self, count: int) -> list[ManifestEvent]:
-        return [self.next_event() for _ in range(count)]
+        """The next `count` events; asking for more than remain consumes nothing."""
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"take count must be a non-negative integer, got {count!r}")
+        if count > self.events_remaining:
+            raise self._exhausted()
+        events = [self._ahead.popleft() for _ in range(min(count, len(self._ahead)))]
+        # _CHUNK at a time keeps temporaries small: one 100k-event draw left
+        # the heap so that a following 1M-event write peaked 56-80 MB higher.
+        while len(events) < count:
+            events += self._events(min(self._CHUNK, count - len(events)))
+        return events
 
     def __iter__(self) -> Iterator[ManifestEvent]:
-        while self._next_step < self._total:
+        while self.events_remaining:
             yield self.next_event()
 
     def state(self) -> dict:
         """JSON-serializable snapshot; size depends only on the registry."""
+        draws = dict(zip(self._names, self._drawn))
+        for event in self._ahead:
+            draws[event.dataset] -= 1
         return {
             "format": STATE_FORMAT,
             "generator": GENERATOR_ID,
             "seed": self.seed,
-            "next_step": self._next_step,
-            "draws": {name: self._draws[name] for name in self._names},
+            "next_step": self.next_step,
+            "draws": draws,
             "condition": condition_as_dict(self.condition),
             "registry": registry_as_list(self.registry),
             "registry_digest": self._digest,
@@ -373,17 +375,17 @@ class ManifestSampler:
             raise FormatError("sampler state draws must be an object")
         total_draws = 0
         for name, count in draws.items():
-            if name not in sampler._draws:
+            if name not in sampler._name_to_id:
                 raise ValidationError(f"sampler state counts draws for unknown dataset {name!r}")
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise FormatError(f"sampler state draw count for {name!r} must be a non-negative integer")
-            sampler._draws[name] = count
+            sampler._drawn[sampler._name_to_id[name]] = count
             total_draws += count
         if total_draws != next_step:
             raise ValidationError(
                 f"sampler state draw counts sum to {total_draws} but next_step is {next_step}"
             )
-        sampler._next_step = next_step
+        sampler._step = next_step
         return sampler
 
 

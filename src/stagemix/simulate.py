@@ -34,7 +34,7 @@ from .dynamics import LossTrace, Transition, stage_transition_ratio
 from .errors import ValidationError
 from .metrics import EvalSnapshot
 from .rounding import round_half_away
-from .schedule import GROUPS, ScheduleCondition, builtin_registry, validate_condition
+from .schedule import GROUPS, ScheduleCondition, _require_valid, builtin_registry
 
 TASK_OFFSETS = {
     "General-Val": Decimal("0.0"),
@@ -261,11 +261,7 @@ def synth_capability(
         raise ValueError("simulating with noise needs an explicit seed")
     if registry is None:
         registry = builtin_registry()
-    result = validate_condition(cond, registry)
-    if not result.ok:
-        from .errors import InvalidScheduleError
-
-        raise InvalidScheduleError(result.violations)
+    _require_valid(cond, registry)
     group_of = {src.name: src.group for src in registry}
     total = cond.total_steps()
     if total < 1:

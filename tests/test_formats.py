@@ -192,6 +192,14 @@ class TestLossTraceFiles:
         assert np.array_equal(loaded.steps, trace.steps)
         assert np.array_equal(loaded.stages, trace.stages)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_loss_is_refused_before_writing(self, tmp_path, bad):
+        trace = make_trace([1.0, bad, 0.5])
+        path = tmp_path / "loss.jsonl"
+        with pytest.raises(TraceError, match="not finite"):
+            save_loss_trace(trace, path)
+        assert not path.exists()
+
     def test_jsonl_content_is_validated(self, tmp_path):
         path = tmp_path / "loss.jsonl"
         path.write_text(
@@ -577,6 +585,17 @@ class TestComparisonCsv:
         for (_, values), row in zip(loaded, table.rows):
             assert values == row
 
+    def test_non_numeric_cell_names_file_and_row(self, tmp_path):
+        path = tmp_path / "cmp.csv"
+        write_comparison_csv(self.table(), path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "abc"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"cmp\.csv: row 4 holds a value that is not a number"):
+            read_comparison_csv(path)
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "cmp.csv"
         path.write_text("condition,foo\nA,1\n")
@@ -594,6 +613,13 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(points, path)
         assert read_trajectory_csv(path) == points
+
+    @pytest.mark.parametrize("row", ["x,70.0,71.0,72.0,71.0", "200,70.0,high,72.0,71.0"])
+    def test_non_numeric_cell_names_file_and_row(self, tmp_path, row):
+        path = tmp_path / "traj.csv"
+        path.write_text("step,general,reasoning,detail,overall\n100,70.0,71.0,72.0,71.0\n" + row + "\n")
+        with pytest.raises(FormatError, match=r"traj\.csv: row 3 holds a value that is not a number"):
+            read_trajectory_csv(path)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "traj.csv"

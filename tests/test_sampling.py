@@ -137,6 +137,47 @@ class TestResume:
         tail = second.take(620 - cut)
         assert head + tail == reference
 
+    # Crosses the stage 1 -> 2 boundary at step 3000, and draws refill the
+    # pools of 5, 4 and 3 instances hundreds of times.
+    BUFFER_CONDITION = ScheduleCondition(
+        id="buffer",
+        stages=(
+            StagePlan(1, 3000, {"alpha": 1.0}),
+            StagePlan(2, 7000, {"beta": 0.75, "gamma": 0.25}),
+        ),
+    )
+
+    @pytest.mark.parametrize(
+        "piece", [1, ManifestSampler._CHUNK - 1, ManifestSampler._CHUNK, ManifestSampler._CHUNK + 1]
+    )
+    def test_state_excludes_buffered_events(self, piece):
+        reference = list(generate_manifest(self.BUFFER_CONDITION, TOY_REGISTRY, 13).events())
+        sampler = ManifestSampler(self.BUFFER_CONDITION, TOY_REGISTRY, 13)
+        handed_out = []
+
+        def iterate_and_break():  # leaves the rest of a chunk in the buffer
+            for count, event in enumerate(sampler, 1):
+                handed_out.append(event)
+                if count == 37:
+                    break
+
+        steps = [
+            iterate_and_break,
+            lambda: handed_out.extend(sampler.take(piece)),
+            lambda: handed_out.append(sampler.next_event()),
+            lambda: handed_out.extend(sampler.take(piece)),
+            iterate_and_break,
+            lambda: handed_out.extend(sampler.take(sampler.events_remaining)),
+        ]
+        for step in steps:
+            step()
+            done = len(handed_out)
+            assert handed_out == reference[:done]
+            state = json.loads(json.dumps(sampler.state()))
+            assert state["next_step"] == done
+            resumed = ManifestSampler.from_state(state)
+            assert resumed.take(resumed.events_remaining) == reference[done:]
+
     def test_state_is_small(self):
         cond = builtin_condition("C", (20, 300, 300))
         sampler = ManifestSampler(cond, builtin_registry(), 42)
@@ -312,6 +353,23 @@ class TestInputChecks:
         assert sampler.events_remaining == 0
         with pytest.raises(ValueError, match="exhausted"):
             sampler.next_event()
+
+    @pytest.mark.parametrize("count", [-1, 1.5, True, "3", None])
+    def test_take_rejects_bad_counts(self, count):
+        sampler = ManifestSampler(TOY_CONDITION, TOY_REGISTRY, 7)
+        sampler.next_event()
+        with pytest.raises(ValueError, match="count"):
+            sampler.take(count)
+        assert [tuple(e) for e in sampler.take(11)] == GOLDEN_EVENTS_SEED7[1:]
+
+    def test_take_beyond_the_end_consumes_nothing(self):
+        sampler = ManifestSampler(TOY_CONDITION, TOY_REGISTRY, 7)
+        sampler.next_event()
+        sampler.take(4)
+        with pytest.raises(ValueError, match="exhausted"):
+            sampler.take(8)
+        assert sampler.next_step == 5
+        assert [tuple(e) for e in sampler.take(7)] == GOLDEN_EVENTS_SEED7[5:]
 
     def test_iteration_stops_at_schedule_end(self):
         sampler = ManifestSampler(TOY_CONDITION, TOY_REGISTRY, 7)

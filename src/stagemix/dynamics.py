@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .errors import TraceError
 
 DEFAULT_WINDOW = 50
@@ -128,11 +129,11 @@ class WindowStats:
         return len(self.steps)
 
 
-def _check_window(window: int, length: int, name: str = "window") -> None:
-    if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-        raise ValueError(f"{name} must be a positive integer, got {window!r}")
+def _check_window(window: int, length: int, name: str = "window") -> int:
+    window = fields.check(window, name, low=1)
     if window > length:
         raise ValueError(f"{name} {window} exceeds the trace length {length}")
+    return window
 
 
 def _suffix_sums(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +196,7 @@ def _block_window_stats(x: np.ndarray, window: int, blocks: int) -> tuple[np.nda
 def window_stats(trace: LossTrace, window: int = DEFAULT_WINDOW) -> WindowStats:
     """Batch windowed statistics in O(N), chunked at block boundaries so
     temporaries stay bounded."""
-    _check_window(window, len(trace))
+    window = _check_window(window, len(trace))
     losses = trace.losses
     rows = len(losses) - window + 1
     means = np.empty(rows, dtype=np.float64)
@@ -225,9 +226,7 @@ class RollingWindow:
     """
 
     def __init__(self, window: int):
-        if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-            raise ValueError(f"window must be a positive integer, got {window!r}")
-        self.window = window
+        self.window = fields.check(window, "window", low=1)
         self._count = 0
         self._last = None
         self._run = 0  # length of the run of equal values ending at self._last
@@ -484,8 +483,8 @@ def stability_summary(
     """
     if spike_window is None:
         spike_window = window
-    _check_window(window, len(trace))
-    _check_window(spike_window, len(trace), name="spike window")
+    window = _check_window(window, len(trace))
+    spike_window = _check_window(spike_window, len(trace), name="spike window")
     fluctuation_stats = window_stats(trace, window)
     spike_stats = fluctuation_stats if spike_window == window else window_stats(trace, spike_window)
     spikes = _spike_report(trace, spike_stats)

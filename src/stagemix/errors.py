@@ -2,8 +2,10 @@
 
 Three families, matching the CLI exit codes: data that parses but breaks a
 documented rule (ValidationError, exit 1), operation misuse such as a window
-larger than the trace (plain ValueError, exit 2), and files that cannot be
-decoded into the expected shape at all (FormatError, exit 3).
+larger than the trace or a bool where an integer belongs (plain ValueError,
+exit 2), and files that cannot be decoded into the expected shape at all,
+such as a JSON field of the wrong type (FormatError, exit 3). `fields` holds
+the one rule for integers and numbers; its callers pick the family.
 """
 
 

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import fields
 from .dynamics import LossTrace
 from .errors import EvalDataError, FormatError, TraceError
 from .metrics import COMPARISON_COLUMNS, ComparisonTable, EvalSnapshot, TrajectoryPoint, to_score
@@ -108,15 +109,12 @@ def _line_number(lines: list[str], index: int) -> int:
     return next(itertools.islice(numbers, index, None))
 
 
-# JSONL columns: each key of a record layout maps to the Python type its values
-# must have. Integer columns load as int64 arrays, float columns as float64
-# arrays (JSON integers are accepted there), and string columns as a pair
-# (sorted distinct names, int64 index of each record's name).
+# JSONL columns: each key of a record layout maps to the kind of its values, as
+# fields.JSON_TYPES defines them. Integer columns load as int64 arrays, float
+# columns as float64 arrays, and string columns as a pair (sorted distinct
+# names, int64 index of each record's name).
 LOSS_COLUMNS = {"step": int, "stage": int, "loss": float}
 EVENT_COLUMNS = {"step": int, "stage": int, "dataset": str, "instance": int}
-
-_ALLOWED_TYPES = {int: {int}, float: {int, float}, str: {str}}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _object_columns(path, lines: list[str], objects: list, columns: dict, first: int = 0) -> dict:
@@ -133,11 +131,11 @@ def _object_columns(path, lines: list[str], objects: list, columns: dict, first:
             at = next(i for i, r in enumerate(records) if not isinstance(r, dict) or key not in r)
             line = _line_number(lines, first + at)
             raise FormatError(f"{path}: line {line} needs {'/'.join(columns)}") from None
-        allowed = _ALLOWED_TYPES[kind]
+        allowed = fields.JSON_TYPES[kind]
         if not set(map(type, values)) <= allowed:
             at = next(i for i, v in enumerate(values) if type(v) not in allowed)
             line = _line_number(lines, first + at)
-            raise FormatError(f"{path}: line {line} {key} must be {_TYPE_NAMES[kind]}")
+            raise FormatError(f"{path}: line {line} {fields.problem(values[at], key, kind)}")
         if kind is str:
             out[key] = _factorize(values)
             continue
@@ -145,18 +143,10 @@ def _object_columns(path, lines: list[str], objects: list, columns: dict, first:
         try:
             out[key] = np.array(values, dtype=dtype)
         except OverflowError:
-            at = next(i for i, v in enumerate(values) if _overflows(v, dtype))
+            at = next(i for i, v in enumerate(values) if fields.problem(v, key, kind))
             line = _line_number(lines, first + at)
             raise FormatError(f"{path}: line {line} {key} is out of range") from None
     return out
-
-
-def _overflows(value, dtype) -> bool:
-    try:
-        np.array(value, dtype=dtype)
-    except OverflowError:
-        return True
-    return False
 
 
 _NUMBER_BYTES = np.zeros(256, dtype=bool)
@@ -293,7 +283,10 @@ def load_conditions(path) -> list[ScheduleCondition]:
         raw = [data]
     else:
         raise FormatError(f"{path}: expected a condition object or a 'conditions' list")
-    return [condition_from_dict(item) for item in raw]
+    try:
+        return [condition_from_dict(item) for item in raw]
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 def save_conditions(conds, path) -> None:
@@ -308,7 +301,10 @@ def load_registry(path) -> tuple[DatasetSource, ...]:
     data = load_json(path)
     if isinstance(data, dict) and "datasets" in data:
         data = data["datasets"]
-    return registry_from_list(data)
+    try:
+        return registry_from_list(data)
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 def save_registry(registry, path) -> None:
@@ -417,13 +413,11 @@ def _stage_sidecar_path(csv_path) -> Path:
 
 
 def _stages_from_boundaries(steps: np.ndarray, boundaries, origin: str) -> np.ndarray:
-    if not isinstance(boundaries, list) or not boundaries:
-        raise FormatError(f"{origin}: 'boundaries' must be a non-empty list")
-    parsed = []
-    for pos, raw in enumerate(boundaries, start=1):
-        if not isinstance(raw, dict) or "stage" not in raw or "start_step" not in raw:
-            raise FormatError(f"{origin}: boundary {pos} needs 'stage' and 'start_step'")
-        parsed.append((raw["start_step"], raw["stage"]))
+    boundaries = fields.check(boundaries, f"{origin}: boundaries", list, FormatError, empty=False)
+    parsed = [
+        tuple(fields.read(raw, f"{origin}: boundary {pos}", {"start_step": int, "stage": int}).values())
+        for pos, raw in enumerate(boundaries, start=1)
+    ]
     starts = [p[0] for p in parsed]
     if starts != sorted(starts):
         raise TraceError(f"{origin}: stage boundaries must be sorted by start_step")
@@ -463,9 +457,7 @@ def _load_loss_csv(path) -> LossTrace:
     sidecar = _stage_sidecar_path(path)
     if not sidecar.exists():
         raise FormatError(f"{path}: CSV loss logs need a stage sidecar at {sidecar}")
-    boundaries = load_json(sidecar)
-    if not isinstance(boundaries, dict) or "boundaries" not in boundaries:
-        raise FormatError(f"{sidecar}: expected an object with 'boundaries'")
+    boundaries = fields.read(load_json(sidecar), f"{sidecar}:", {"boundaries": list})["boundaries"]
     rows = _csv_rows(path)
     if not rows or [h.strip() for h in rows[0][:2]] != ["step", "loss"]:
         raise FormatError(f"{path}: CSV loss logs need a 'step,loss' header")
@@ -474,7 +466,7 @@ def _load_loss_csv(path) -> LossTrace:
         losses = np.array([float(row[1]) for row in rows[1:]], dtype=np.float64)
     except (IndexError, ValueError, OverflowError) as err:
         raise FormatError(f"{path}: CSV rows must be 'step,loss' numbers ({err})") from None
-    stages = _stages_from_boundaries(steps, boundaries["boundaries"], str(sidecar))
+    stages = _stages_from_boundaries(steps, boundaries, str(sidecar))
     trace = LossTrace(steps=steps, stages=stages, losses=losses)
     trace.validate()
     return trace
@@ -493,10 +485,9 @@ def load_eval_log(path) -> list[EvalSnapshot]:
             raise FormatError(f"{path}: line {_line_number(lines, index)} needs step/task/score")
         step = record["step"]
         task = record["task"]
-        if not isinstance(step, int) or isinstance(step, bool):
-            raise FormatError(f"{path}: line {_line_number(lines, index)} step must be an integer")
-        if not isinstance(task, str):
-            raise FormatError(f"{path}: line {_line_number(lines, index)} task must be a string")
+        message = fields.problem(step, "step") or fields.problem(task, "task", str)
+        if message:
+            raise FormatError(f"{path}: line {_line_number(lines, index)} {message}")
         scores = by_step.setdefault(step, {})
         if task in scores:
             raise EvalDataError(f"{path}: duplicate score for task {task!r} at step {step}")
@@ -581,72 +572,44 @@ def read_trajectory_csv(path) -> list[TrajectoryPoint]:
 # -- simulation specs --------------------------------------------------------------
 
 
+def _sim_seed(data: dict, path) -> int | None:
+    seed = data.get("seed")
+    return None if seed is None else fields.check(seed, f"{path}: seed", int, FormatError, low=0, high=None)
+
+
 def load_loss_spec(path) -> LossTraceSpec:
     data = load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("stages"), list):
         raise FormatError(f"{path}: expected an object with a 'stages' list")
-    stages = []
-    for pos, raw in enumerate(data["stages"], start=1):
-        if not isinstance(raw, dict):
-            raise FormatError(f"{path}: stage {pos} must be an object")
-        try:
-            stages.append(
-                SimStage(
-                    index=int(raw.get("index", pos)),
-                    steps=int(raw["steps"]),
-                    amplitude=float(raw["amplitude"]),
-                    tau=float(raw["tau"]),
-                    noise=float(raw.get("noise", 0.0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            raise FormatError(f"{path}: stage {pos} needs steps/amplitude/tau numbers ({err})") from None
-    injections = []
-    for pos, raw in enumerate(data.get("injections", []), start=1):
-        if not isinstance(raw, dict):
-            raise FormatError(f"{path}: injection {pos} must be an object")
-        try:
-            injections.append(Injection(step=int(raw["step"]), multiplier=float(raw["multiplier"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            raise FormatError(f"{path}: injection {pos} needs step/multiplier numbers ({err})") from None
-    seed = data.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise FormatError(f"{path}: seed must be an integer")
-    interval = data.get("log_interval", 1)
-    if not isinstance(interval, int) or isinstance(interval, bool):
-        raise FormatError(f"{path}: log_interval must be an integer")
-    return LossTraceSpec(
-        stages=tuple(stages), log_interval=interval, injections=tuple(injections), seed=seed
+    spec = fields.read(data, f"{path}:", {"injections": list, "log_interval": int}, injections=[], log_interval=1)
+    stage_kinds = {"index": int, "steps": int, "amplitude": float, "tau": float, "noise": float}
+    stages = tuple(
+        SimStage(**fields.read(raw, f"{path}: stage {pos}", stage_kinds, index=pos, noise=0.0))
+        for pos, raw in enumerate(data["stages"], start=1)
     )
+    injections = tuple(
+        Injection(**fields.read(raw, f"{path}: injection {pos}", {"step": int, "multiplier": float}))
+        for pos, raw in enumerate(spec["injections"], start=1)
+    )
+    return LossTraceSpec(stages, spec["log_interval"], injections, _sim_seed(data, path))
 
 
 def load_capability_spec(path) -> tuple[CapabilityModelSpec, int | None]:
     """Read a capability sim spec; returns (model, seed or None)."""
     data = load_json(path)
-    if not isinstance(data, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    raw = data.get("model", {})
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: 'model' must be an object")
+    raw = fields.read(data, f"{path}:", {"model": dict}, model={})["model"]
     defaults = CapabilityModelSpec()
-    weights = raw.get("weights", defaults.weights)
-    if not isinstance(weights, dict):
-        raise FormatError(f"{path}: model weights must be an object")
+    kinds = {"baseline": float, "ceiling": float, "scale": float, "noise": float}
+    kinds.update(eval_interval=int, weights=dict)
     try:
-        model = CapabilityModelSpec(
-            baseline=float(raw.get("baseline", defaults.baseline)),
-            ceiling=float(raw.get("ceiling", defaults.ceiling)),
-            scale=float(raw.get("scale", defaults.scale)),
-            noise=float(raw.get("noise", defaults.noise)),
-            eval_interval=int(raw.get("eval_interval", defaults.eval_interval)),
-            weights={
-                str(group): {str(k): float(v) for k, v in alphas.items()}
-                for group, alphas in weights.items()
-            },
-        )
-    except (TypeError, ValueError, OverflowError, AttributeError) as err:
+        model = fields.read(raw, "model", kinds, **{key: getattr(defaults, key) for key in kinds})
+        model["weights"] = {
+            group: {
+                name: fields.check(alpha, f"model weights {group} {name}", float, FormatError)
+                for name, alpha in fields.check(alphas, f"model weights {group}", dict, FormatError).items()
+            }
+            for group, alphas in model["weights"].items()
+        }
+    except FormatError as err:
         raise FormatError(f"{path}: model fields must be numbers ({err})") from None
-    seed = data.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise FormatError(f"{path}: seed must be an integer")
-    return model, seed
+    return CapabilityModelSpec(**model), _sim_seed(data, path)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
+from . import fields
 from .errors import EvalDataError
 
 TASKS = ("General-Val", "AI2D", "ChartQA", "TextVQA", "DocVQA")
@@ -41,17 +42,12 @@ _TENTH = Decimal("0.1")
 
 def to_score(value) -> Decimal:
     """Validate one benchmark score: a number in [0, 100] with at most one decimal."""
-    if isinstance(value, bool):
-        raise EvalDataError(f"score must be a number, got {value!r}")
-    if isinstance(value, Decimal):
-        score = value
-    elif isinstance(value, (int, float, str)):
-        try:
-            score = Decimal(str(value))
-        except InvalidOperation:
-            raise EvalDataError(f"score {value!r} is not a number") from None
-    else:
-        raise EvalDataError(f"score must be a number, got {type(value).__name__}")
+    if not isinstance(value, (Decimal, str)):
+        fields.check(value, "score", float, EvalDataError)
+    try:
+        score = value if isinstance(value, Decimal) else Decimal(str(value))
+    except InvalidOperation:
+        raise EvalDataError(f"score {value!r} is not a number") from None
     if not score.is_finite():
         raise EvalDataError(f"score {value!r} is not finite")
     if score < 0 or score > 100:

@@ -37,6 +37,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import fields
 from .errors import FormatError, ValidationError
 from .schedule import (
     ScheduleCondition,
@@ -54,11 +55,6 @@ STATE_FORMAT = "stagemix-sampler-state/v1"
 
 _CHOICE_TAG = 0
 _U53_SCALE = 2.0**-53
-
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _raw_words(seed: int, tag: int, offset: int, count: int) -> np.ndarray:
@@ -217,11 +213,10 @@ class ManifestSampler:
     _CHUNK = 4096
 
     def __init__(self, cond: ScheduleCondition, registry, seed: int):
-        _check_seed(seed)
+        self.seed = fields.check(seed, "seed", low=0, high=2**64)
         _require_valid(cond, registry)
         self.condition = cond
         self.registry = tuple(registry)
-        self.seed = seed
         self._digest = registry_digest(registry)
         self._names = tuple(sorted(src.name for src in registry))
         self._name_to_id = {name: i for i, name in enumerate(self._names)}
@@ -308,8 +303,7 @@ class ManifestSampler:
 
     def take(self, count: int) -> list[ManifestEvent]:
         """The next `count` events; asking for more than remain consumes nothing."""
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValueError(f"take count must be a non-negative integer, got {count!r}")
+        count = fields.check(count, "take count", low=0)
         if count > self.events_remaining:
             raise self._exhausted()
         events = [self._ahead.popleft() for _ in range(min(count, len(self._ahead)))]
@@ -341,9 +335,7 @@ class ManifestSampler:
 
     @classmethod
     def from_state(cls, state: dict) -> "ManifestSampler":
-        if not isinstance(state, dict):
-            raise FormatError(f"sampler state must be an object, got {type(state).__name__}")
-        if state.get("format") != STATE_FORMAT:
+        if fields.check(state, "sampler state", dict, FormatError).get("format") != STATE_FORMAT:
             raise FormatError(f"unrecognized sampler state format {state.get('format')!r}")
         generator = state.get("generator")
         if generator != GENERATOR_ID:
@@ -362,23 +354,19 @@ class ManifestSampler:
             raise ValidationError(
                 f"sampler state registry digest {recorded!r} does not match its embedded registry ({digest!r})"
             )
-        sampler = cls(cond, registry, state["seed"])
-        next_step = state["next_step"]
-        if not isinstance(next_step, int) or isinstance(next_step, bool) or next_step < 0:
-            raise FormatError(f"sampler state next_step must be a non-negative integer, got {next_step!r}")
+        seed = fields.check(state["seed"], "sampler state seed", int, FormatError, low=0, high=2**64)
+        sampler = cls(cond, registry, seed)
+        next_step = fields.check(state["next_step"], "sampler state next_step", int, FormatError, low=0)
         if next_step > sampler._total:
             raise ValidationError(
                 f"sampler state next_step {next_step} exceeds the schedule's {sampler._total} steps"
             )
-        draws = state["draws"]
-        if not isinstance(draws, dict):
-            raise FormatError("sampler state draws must be an object")
+        draws = fields.check(state["draws"], "sampler state draws", dict, FormatError)
         total_draws = 0
         for name, count in draws.items():
             if name not in sampler._name_to_id:
                 raise ValidationError(f"sampler state counts draws for unknown dataset {name!r}")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise FormatError(f"sampler state draw count for {name!r} must be a non-negative integer")
+            count = fields.check(count, f"sampler state draw count for {name!r}", int, FormatError, low=0)
             sampler._drawn[sampler._name_to_id[name]] = count
             total_draws += count
         if total_draws != next_step:

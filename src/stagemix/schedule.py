@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
+from . import fields
 from .errors import FormatError, InvalidScheduleError
 
 GROUPS = ("D0-alignment", "D1-general", "D2-reasoning", "D3-ocr")
@@ -133,9 +133,7 @@ def builtin_condition(cond_id: str, steps) -> ScheduleCondition:
     steps = tuple(steps)
     if len(steps) != 3:
         raise ValueError(f"built-in conditions take exactly 3 stage step counts, got {len(steps)}")
-    for value in steps:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"stage step counts must be non-negative integers, got {value!r}")
+    steps = tuple(fields.check(value, "stage step count", low=0) for value in steps)
     stage2, stage3 = _BUILTIN_POST_STAGES[cond_id]
     return ScheduleCondition(
         id=cond_id,
@@ -173,9 +171,8 @@ def registry_violations(registry) -> list[str]:
                 f"registry: dataset {src.name!r} has unknown group {src.group!r};"
                 f" expected one of {', '.join(GROUPS)}"
             )
-        if not isinstance(src.size, int) or isinstance(src.size, bool) or src.size < 1:
-            found.append(f"registry: dataset {src.name!r} size must be a positive integer, got {src.size!r}")
-    return found
+        found.append(fields.problem(src.size, f"registry: dataset {src.name!r} size", low=1))
+    return [message for message in found if message]
 
 
 def _structural_violations(cond: ScheduleCondition) -> list[str]:
@@ -190,19 +187,19 @@ def _structural_violations(cond: ScheduleCondition) -> list[str]:
                 f" position {position} has index {stage.index}"
             )
     for stage in cond.stages:
-        if not isinstance(stage.steps, int) or isinstance(stage.steps, bool) or stage.steps < 0:
-            found.append(f"stage {stage.index}: step count must be a non-negative integer, got {stage.steps!r}")
+        found.append(fields.problem(stage.steps, f"stage {stage.index}: step count", low=0))
         total = 0.0
         for name, prob in stage.distribution.items():
-            if not isinstance(prob, (int, float)) or isinstance(prob, bool) or math.isnan(prob):
-                found.append(f"stage {stage.index}: probability of {name!r} must be a real number, got {prob!r}")
+            message = fields.problem(prob, f"stage {stage.index}: probability of {name!r}", float)
+            if message:
+                found.append(message)
                 continue
-            if prob < 0.0 or prob > 1.0:
+            if not 0.0 <= prob <= 1.0:
                 found.append(f"stage {stage.index}: probability of {name!r} is {prob!r}, outside [0, 1]")
             total += float(prob)
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:  # a nan sum differs too
             found.append(f"stage {stage.index}: probability sum {total!r} differs from 1 by more than {PROB_SUM_TOL}")
-    return found
+    return [message for message in found if message]
 
 
 def validate_condition(cond: ScheduleCondition, registry) -> ValidationResult:
@@ -327,8 +324,7 @@ def compare_exposure(conds, registry=None, warn_threshold: float = 0.10) -> Expo
     conds = list(conds)
     if not conds:
         raise ValueError("compare_exposure needs at least one condition")
-    if warn_threshold < 0.0:
-        raise ValueError(f"warn threshold must be non-negative, got {warn_threshold!r}")
+    warn_threshold = fields.check(warn_threshold, "warn threshold", float, non_negative=True)
     for cond in conds:
         _require_valid(cond, registry)
     if registry is not None:
@@ -378,37 +374,17 @@ def condition_as_dict(cond: ScheduleCondition) -> dict:
 
 def condition_from_dict(data) -> ScheduleCondition:
     """Parse one condition object; shape problems raise FormatError."""
-    if not isinstance(data, dict):
-        raise FormatError(f"condition must be an object, got {type(data).__name__}")
-    cond_id = data.get("id")
-    if not isinstance(cond_id, str) or not cond_id:
-        raise FormatError("condition is missing a non-empty string 'id'")
-    raw_stages = data.get("stages")
-    if not isinstance(raw_stages, list):
-        raise FormatError(f"condition {cond_id!r}: 'stages' must be a list")
+    cond = fields.read(data, "condition", {"id": str, "stages": list})
+    cond_id = fields.check(cond["id"], "condition id", str, FormatError, empty=False)
     stages = []
-    for pos, raw in enumerate(raw_stages, start=1):
-        if not isinstance(raw, dict):
-            raise FormatError(f"condition {cond_id!r}: stage at position {pos} must be an object")
-        index = raw.get("index", pos)
-        steps = raw.get("steps")
-        dist = raw.get("distribution")
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise FormatError(f"condition {cond_id!r}: stage at position {pos} has non-integer 'index'")
-        if not isinstance(steps, int) or isinstance(steps, bool):
-            raise FormatError(f"condition {cond_id!r}: stage {index} has non-integer 'steps'")
-        if not isinstance(dist, dict):
-            raise FormatError(f"condition {cond_id!r}: stage {index} has no 'distribution' object")
-        parsed = {}
-        for name, prob in dist.items():
-            if not isinstance(name, str):
-                raise FormatError(f"condition {cond_id!r}: stage {index} has a non-string dataset name")
-            if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-                raise FormatError(
-                    f"condition {cond_id!r}: stage {index} probability of {name!r} is not a number"
-                )
-            parsed[name] = float(prob)
-        stages.append(StagePlan(index=index, steps=steps, distribution=parsed))
+    for pos, raw in enumerate(cond["stages"], start=1):
+        where = f"condition {cond_id!r}: stage at position {pos}"
+        plan = fields.read(raw, where, {"index": int, "steps": int, "distribution": dict}, index=pos)
+        plan["distribution"] = {
+            name: fields.check(prob, f"{where} probability of {name!r}", float, FormatError)
+            for name, prob in plan["distribution"].items()
+        }
+        stages.append(StagePlan(**plan))
     return ScheduleCondition(id=cond_id, stages=tuple(stages))
 
 
@@ -418,20 +394,9 @@ def registry_as_list(registry) -> list[dict]:
 
 def registry_from_list(data) -> tuple[DatasetSource, ...]:
     """Parse a dataset list; shape problems raise FormatError."""
-    if not isinstance(data, list):
-        raise FormatError(f"registry datasets must be a list, got {type(data).__name__}")
     sources = []
-    for pos, raw in enumerate(data, start=1):
-        if not isinstance(raw, dict):
-            raise FormatError(f"registry entry {pos} must be an object")
-        name = raw.get("name")
-        group = raw.get("group")
-        size = raw.get("size")
-        if not isinstance(name, str) or not name:
-            raise FormatError(f"registry entry {pos} is missing a non-empty string 'name'")
-        if not isinstance(group, str):
-            raise FormatError(f"registry entry {name!r} is missing a string 'group'")
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise FormatError(f"registry entry {name!r} is missing an integer 'size'")
-        sources.append(DatasetSource(name=name, group=group, size=size))
+    for pos, raw in enumerate(fields.check(data, "registry datasets", list, FormatError), start=1):
+        entry = fields.read(raw, f"registry entry {pos}", {"name": str, "group": str, "size": int})
+        fields.check(entry["name"], f"registry entry {pos} name", str, FormatError, empty=False)
+        sources.append(DatasetSource(**entry))
     return tuple(sources)

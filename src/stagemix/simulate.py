@@ -30,6 +30,7 @@ from decimal import Decimal
 
 import numpy as np
 
+from . import fields
 from .dynamics import LossTrace, Transition, stage_transition_ratio
 from .errors import ValidationError
 from .metrics import EvalSnapshot
@@ -99,12 +100,10 @@ def _check_loss_spec(spec: LossTraceSpec) -> None:
             )
         if stage.steps < 1:
             raise ValidationError(f"stage {stage.index}: steps must be >= 1, got {stage.steps}")
-        if not (stage.amplitude > 0) or not np.isfinite(stage.amplitude):
-            raise ValidationError(f"stage {stage.index}: amplitude must be positive and finite")
-        if not (stage.tau > 0) or not np.isfinite(stage.tau):
-            raise ValidationError(f"stage {stage.index}: tau must be positive and finite")
-        if stage.noise < 0 or not np.isfinite(stage.noise):
-            raise ValidationError(f"stage {stage.index}: noise must be non-negative and finite")
+        for key in ("amplitude", "tau", "noise"):
+            fields.check(getattr(stage, key), f"stage {stage.index}: {key}", float, ValidationError, non_negative=True)
+        if stage.amplitude == 0 or stage.tau == 0:
+            raise ValidationError(f"stage {stage.index}: amplitude and tau must be positive")
     if spec.log_interval < 1:
         raise ValidationError(f"log interval must be >= 1, got {spec.log_interval}")
     total = spec.total_steps()
@@ -129,11 +128,14 @@ class SynthLoss:
     true_transitions: tuple[Transition, ...]
 
 
+def _seed(seed) -> int | None:
+    return None if seed is None else fields.check(seed, "seed", low=0, high=None)
+
+
 def synth_loss(spec: LossTraceSpec, seed: int | None = None) -> SynthLoss:
     """Simulate one training run; `seed` overrides the seed carried by the spec."""
     _check_loss_spec(spec)
-    if seed is None:
-        seed = spec.seed
+    seed = _seed(spec.seed if seed is None else seed)
     if seed is None and any(stage.noise > 0 for stage in spec.stages):
         raise ValueError("simulating with noise needs an explicit seed")
     total = spec.total_steps()
@@ -187,26 +189,22 @@ class CapabilityModelSpec:
 
 
 def _check_capability_spec(model: CapabilityModelSpec) -> None:
-    if not np.isfinite(model.baseline) or not np.isfinite(model.ceiling):
-        raise ValidationError("baseline and ceiling must be finite")
+    for key in ("baseline", "ceiling", "scale", "noise"):
+        fields.check(getattr(model, key), key, float, ValidationError, non_negative=True)
+    fields.check(model.eval_interval, "eval interval", int, ValidationError, low=1)
     if model.baseline > model.ceiling:
         raise ValidationError(f"baseline {model.baseline} exceeds ceiling {model.ceiling}")
-    if not (0 <= model.baseline and model.ceiling <= 99):
+    if model.ceiling > 99:
         raise ValidationError("baseline and ceiling must lie in [0, 99] so offset scores stay valid")
-    if not (model.scale > 0) or not np.isfinite(model.scale):
-        raise ValidationError(f"scale must be positive and finite, got {model.scale}")
-    if model.noise < 0 or not np.isfinite(model.noise):
-        raise ValidationError(f"noise must be non-negative and finite, got {model.noise}")
-    if not isinstance(model.eval_interval, int) or model.eval_interval < 1:
-        raise ValidationError(f"eval interval must be an integer >= 1, got {model.eval_interval!r}")
+    if model.scale == 0:
+        raise ValidationError("scale must be positive, got 0")
     for group, alphas in model.weights.items():
         if group not in TASK_GROUPS.values():
             raise ValidationError(f"unknown capability group {group!r} in weights")
         for exposure_group, alpha in alphas.items():
             if exposure_group not in GROUPS:
                 raise ValidationError(f"unknown exposure group {exposure_group!r} in weights")
-            if alpha < 0 or not np.isfinite(alpha):
-                raise ValidationError(f"weight of {exposure_group!r} for {group!r} must be >= 0")
+            fields.check(alpha, f"weight of {exposure_group!r} for {group!r}", float, ValidationError, non_negative=True)
     for group in set(TASK_GROUPS.values()):
         if group not in model.weights:
             raise ValidationError(f"weights are missing capability group {group!r}")
@@ -257,6 +255,7 @@ def synth_capability(
 ) -> SynthCapability:
     """Simulate evaluations at every eval interval plus the final step."""
     _check_capability_spec(model)
+    seed = _seed(seed)
     if seed is None and model.noise > 0:
         raise ValueError("simulating with noise needs an explicit seed")
     if registry is None:

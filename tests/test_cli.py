@@ -482,6 +482,12 @@ class TestHostileInput:
                 ' "injections": [{"step": 1e400, "multiplier": 2.0}]}',
             ),
             (["capability", "--condition", "C", "--steps", "10,50,50"], '{"model": {"eval_interval": 1e400}}'),
+            (["loss"], '{"stages": [{"steps": 10.7, "amplitude": 3.0, "tau": 100.0}]}'),
+            (["loss"], '{"stages": [{"steps": 10, "amplitude": 3.0, "tau": 100.0}], "seed": -3}'),
+            (["loss"], '{"stages": [{"steps": 9223372036854775808, "amplitude": 3.0, "tau": 100.0}]}'),
+            (["capability", "--condition", "C", "--steps", "10,50,50"], '{"model": {"eval_interval": true}}'),
+            (["capability", "--condition", "C", "--steps", "10,50,50"], '{"model": {"noise": 0.5}, "seed": -3}'),
+            (["loss"], '{"stages": [{"steps": 10, "amplitude": 3.0, "tau": 100.0}], "injections": 5}'),
         ],
     )
     def test_simulation_spec(self, tmp_path, argv, spec):
@@ -493,3 +499,48 @@ class TestHostileInput:
         assert result.returncode == 3
         assert result.stderr.startswith(f"error: {path}")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", [["validate"], ["exposure"], ["simulate", "capability", "--out", "out.jsonl"]])
+    @pytest.mark.parametrize(
+        "steps, probability",
+        [("1" + "0" * 400, "1.0"), ("10", "1" + "0" * 400), ("10.5", "1.0"), ("true", "1.0"), ("10", '"1"')],
+        ids=["steps-10**400", "probability-10**400", "steps-10.5", "steps-true", "probability-string"],
+    )
+    def test_schedule_file(self, tmp_path, command, steps, probability):
+        path = tmp_path / "schedule.json"
+        path.write_text(
+            '{"id": "X", "stages": [{"steps": 10, "distribution": {"LLaVA-Pretrain": 1.0}},'
+            ' {"steps": %s, "distribution": {"ShareGPT4V": %s}}]}' % (steps, probability)
+        )
+        command = [str(tmp_path / arg) if arg.endswith(".jsonl") else arg for arg in command]
+        result = stagemix_process(*command, "--schedule", str(path))
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: {path}: condition 'X': stage at position 2")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("size", ["true", "5.0", '"5"', "1" + "0" * 30])
+    def test_registry_file(self, tmp_path, size):
+        path = tmp_path / "registry.json"
+        path.write_text('{"datasets": [{"name": "LLaVA-Pretrain", "group": "D0-alignment", "size": %s}]}' % size)
+        result = stagemix_process("validate", "--condition", "A", "--steps", "1,1,1", "--registry", str(path))
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: {path}: registry entry 1 size must be an integer")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_warn_threshold_must_be_finite(self, threshold):
+        result = stagemix_process("exposure", "--condition", "A", "--steps", "1,1,1", "--warn-threshold", threshold)
+        assert result.returncode == 2
+        assert result.stderr == f"error: warn threshold must be a finite non-negative number, got {float(threshold)!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["loss", "--spec", "spec.json"], ["capability", "--condition", "A", "--steps", "10,50,50"]],
+        ids=["loss", "capability"],
+    )
+    def test_negative_seed_flag(self, tmp_path, argv):
+        (tmp_path / "spec.json").write_text('{"stages": [{"steps": 10, "amplitude": 3.0, "tau": 100.0, "noise": 0.1}]}')
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        result = stagemix_process("simulate", *argv, "--seed", "-2", "--out", str(tmp_path / "out.jsonl"))
+        assert result.returncode == 2
+        assert result.stderr == "error: seed must be a non-negative integer, got -2\n"

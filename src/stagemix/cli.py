@@ -102,7 +102,7 @@ def _resolve_conditions(args):
 
 def _emit(args, text: str, data) -> None:
     if getattr(args, "format", "text") == "data":
-        payload = json.dumps(data, indent=2) + "\n"
+        payload = json.dumps(data, indent=2, allow_nan=False) + "\n"
     else:
         payload = text + "\n"
     out = getattr(args, "out", None)

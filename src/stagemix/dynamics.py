@@ -56,17 +56,6 @@ class LossTrace:
     stages: np.ndarray
     losses: np.ndarray
 
-    @classmethod
-    def from_records(cls, records) -> "LossTrace":
-        records = list(records)
-        trace = cls(
-            steps=np.array([r[0] for r in records], dtype=np.int64),
-            stages=np.array([r[1] for r in records], dtype=np.int64),
-            losses=np.array([r[2] for r in records], dtype=np.float64),
-        )
-        trace.validate()
-        return trace
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -96,13 +85,6 @@ class LossTrace:
         if not np.isfinite(self.losses).all():
             at = int(np.argmin(np.isfinite(self.losses)))
             raise TraceError(f"loss at step {int(self.steps[at])} is not finite")
-
-    def stage_list(self) -> list[int]:
-        present = [int(self.stages[0])]
-        for value in self.stages:
-            if value != present[-1]:
-                present.append(int(value))
-        return present
 
 
 def _window_mean_std(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

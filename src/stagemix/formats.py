@@ -269,6 +269,72 @@ def _factorize(values: list) -> tuple[tuple, np.ndarray]:
     return names, np.array([index[v] for v in values], dtype=np.int64)
 
 
+# Rows per block of _write_jsonl_columns: a few MB of matrix whatever the row count.
+_BLOCK_ROWS = 65_536
+
+
+def _write_jsonl_columns(path, head: bytes, columns: dict, values: dict) -> None:
+    """Write `head`, then one `{"k1":v1,...,"km":vm}\\n` line per row: the layout _jsonl_columns reads.
+
+    values maps each key to an int or float array, or to (names, each row's
+    index in names). Integers print as %d, floats as repr (the shortest round
+    trip). Every block of rows is one (rows, width) uint8 matrix of broadcast
+    key literals and zero-padded values. No token holds a NUL byte (json.dumps
+    escapes U+0000; digits and repr have none), so dropping the zero bytes
+    leaves exactly the lines. Every check runs before the file is opened.
+    """
+    literals, cells = [], []  # per key: its literal, and (column, block of column -> cell matrix)
+    for k, (key, kind) in enumerate(columns.items()):
+        literals.append(np.frombuffer((("{" if k == 0 else ",") + json.dumps(key) + ":").encode(), dtype=np.uint8))
+        if kind is str:
+            names, ids = values[key]
+            if len(ids) and not 0 <= ids.min() <= ids.max() < len(names):
+                raise IndexError(f"{key} ids must lie in [0, {len(names)})")
+            table = np.array([json.dumps(name).encode() for name in names], dtype="S")
+            cells.append((ids, table.view(np.uint8).reshape(len(table), table.itemsize).__getitem__))
+        else:
+            cells.append((values[key], _int_matrix if kind is int else _float_matrix))
+    line_end = np.frombuffer(b"}\n", dtype=np.uint8)
+    rows = len(cells[0][0])
+    if any(len(column) != rows for column, _ in cells):
+        raise ValueError(f"columns {'/'.join(columns)} differ in length")
+    with open(path, "wb") as handle:
+        handle.write(head)
+        for start in range(0, rows, _BLOCK_ROWS):
+            n = min(_BLOCK_ROWS, rows - start)
+            parts = []
+            for literal, (column, cell_matrix) in zip(literals, cells):
+                parts += [np.broadcast_to(literal, (n, len(literal))), cell_matrix(column[start : start + n])]
+            matrix = np.concatenate(parts + [np.broadcast_to(line_end, (n, 2))], axis=1).ravel()
+            handle.write(matrix[matrix != 0])
+
+
+def _int_matrix(values: np.ndarray) -> np.ndarray:
+    """Each integer as the bytes of %d, right-aligned, after a sign column when any is negative."""
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    magnitude[negative] = -magnitude[negative]  # uint64 negation is exact for -2**63 too
+    width = len(str(int(magnitude.max())))
+    matrix = np.zeros((len(values), width + bool(negative.any())), dtype=np.uint8)
+    for c in range(1, width + 1):
+        quotient = magnitude // 10
+        digit = (magnitude - quotient * 10).astype(np.uint8) + ord("0")
+        matrix[:, -c] = np.where((magnitude > 0) | (c == 1), digit, 0)
+        magnitude = quotient
+    matrix[negative, 0] = ord("-")
+    return matrix
+
+
+def _float_matrix(values: np.ndarray) -> np.ndarray:
+    """Each float as the bytes of its repr, left-aligned and zero-padded."""
+    buf = np.frombuffer((",".join(map(repr, values.tolist())) + ",").encode(), dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord(","))
+    begins = np.concatenate(([0], ends[:-1] + 1))
+    matrix, inside = _token_matrix(buf, begins, ends - begins)
+    matrix[~inside] = 0
+    return matrix
+
+
 # -- schedules and registries -------------------------------------------------
 
 
@@ -316,25 +382,29 @@ def save_registry(registry, path) -> None:
 
 def write_manifest(manifest: Manifest, path) -> None:
     """One header line, then one compact event object per step."""
-    header = json.dumps(manifest.header(), separators=(",", ":"))
-    quoted = [json.dumps(name) for name in manifest.dataset_names]
-    template = '{"step":%d,"stage":%d,"dataset":%s,"instance":%d}'
-    steps = manifest.steps.tolist()
-    stages = manifest.stages.tolist()
-    ids = manifest.dataset_ids.tolist()
-    instances = manifest.instances.tolist()
-    lines = [header]
-    append = lines.append
-    for i in range(len(steps)):
-        append(template % (steps[i], stages[i], quoted[ids[i]], instances[i]))
-    _write_text(path, "\n".join(lines) + "\n")
+    header = json.dumps(manifest.header(), separators=(",", ":")) + "\n"
+    names = (manifest.dataset_names, manifest.dataset_ids)
+    events = {"step": manifest.steps, "stage": manifest.stages, "dataset": names, "instance": manifest.instances}
+    _write_jsonl_columns(path, header.encode(), EVENT_COLUMNS, events)
 
 
-def _check_manifest_header(path, header) -> None:
+def _check_manifest_header(path, header) -> dict[int, int]:
+    """Check a manifest's header line and return its stage_steps as {stage index: steps}."""
     if not isinstance(header, dict) or header.get("format") != MANIFEST_FORMAT:
         raise FormatError(
             f"{path}: first line must be a manifest header with format {MANIFEST_FORMAT!r}"
         )
+    for key in ("condition", "seed", "registry_digest", "generator", "stage_steps"):
+        if key not in header:
+            raise FormatError(f"{path}: manifest header is missing {key!r}")
+    where = f"{path}: manifest header"
+    fields.check(header["seed"], f"{where} seed", int, FormatError, low=0, high=2**64)
+    stage_steps = {}
+    for key, steps in fields.check(header["stage_steps"], f"{where} stage_steps", dict, FormatError).items():
+        if not (key.isascii() and key.isdigit() and key[0] != "0"):
+            raise FormatError(f"{where} stage_steps key {key!r} is not a stage index")
+        stage_steps[int(key)] = fields.check(steps, f"{where} stage_steps {key}", int, FormatError, low=0)
+    return stage_steps
 
 
 def read_manifest_header(path) -> dict:
@@ -367,14 +437,7 @@ def read_manifest(path) -> Manifest:
         if not objects:
             raise FormatError(f"{path}: empty file, expected a manifest header line")
         header = objects[0]
-    _check_manifest_header(path, header)
-    for key in ("condition", "seed", "registry_digest", "generator", "stage_steps"):
-        if key not in header:
-            raise FormatError(f"{path}: manifest header is missing {key!r}")
-    try:
-        stage_steps = {int(k): v for k, v in header["stage_steps"].items()}
-    except (AttributeError, ValueError, TypeError):
-        raise FormatError(f"{path}: manifest header stage_steps must map stage index to steps") from None
+    stage_steps = _check_manifest_header(path, header)
     if columns is None:
         columns = _object_columns(path, lines, objects, EVENT_COLUMNS, first=1)
     names, dataset_ids = columns["dataset"]
@@ -398,14 +461,8 @@ def read_manifest(path) -> Manifest:
 def save_loss_trace(trace: LossTrace, path) -> None:
     if not np.isfinite(trace.losses).all():  # repr of inf or nan is not JSON: refuse, write nothing
         trace.validate()
-    steps = trace.steps.tolist()
-    stages = trace.stages.tolist()
-    losses = trace.losses.tolist()
-    lines = [
-        '{"step":%d,"stage":%d,"loss":%s}' % (steps[i], stages[i], repr(losses[i]))
-        for i in range(len(steps))
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    records = {"step": trace.steps, "stage": trace.stages, "loss": trace.losses}
+    _write_jsonl_columns(path, b"" if len(trace) else b"\n", LOSS_COLUMNS, records)  # empty: one newline, as ever
 
 
 def _stage_sidecar_path(csv_path) -> Path:

@@ -6,14 +6,15 @@ their shortest repr so binary artifacts (72.35 is not exactly representable)
 never leak into the rendered digit.
 """
 
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Context, Decimal, ROUND_HALF_UP
 
 
 def round_half_away(value, places: int) -> Decimal:
-    """Round to `places` decimal places, ties away from zero."""
+    """Round to `places` decimal places, ties away from zero, at a precision that holds every digit and a carry."""
     if not isinstance(value, Decimal):
         value = Decimal(str(value))
-    return value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP)
+    context = Context(prec=max(value.adjusted(), 0) + places + 2)
+    return value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP, context=context)
 
 
 def fmt_fixed(value, places: int) -> str:

@@ -18,7 +18,7 @@ from stagemix import (
     save_eval_log,
     save_registry,
 )
-from stagemix.cli import run
+from stagemix.cli import _emit, run
 from fixtures_data import FINAL_SCORES
 
 LOSS_SPEC = {
@@ -471,6 +471,24 @@ class TestHostileInput:
         assert result.returncode == 1
         assert "not finite" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "data"])
+    def test_losses_past_the_default_decimal_precision(self, tmp_path, capsys, fmt):
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join('{"step":%d,"stage":1,"loss":%r}\n' % (i, (1e25, 3e25)[i % 2]) for i in range(100)))
+        code, out, err = cli(capsys, "analyze", "--trace", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "text":
+            assert "loss std: 1" + "0" * 25 + ".000" in out
+        else:
+            assert json.loads(out, parse_constant=pytest.fail)["loss_std"] == 1e25
+
+    def test_data_reports_are_strict_json(self, tmp_path):
+        out = tmp_path / "report.json"
+        args = type("Args", (), {"format": "data", "out": str(out)})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit(args, "", {"loss_std": float("nan")})
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, spec",

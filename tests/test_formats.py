@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagemix import (
@@ -13,6 +13,7 @@ from stagemix import (
     EvalSnapshot,
     FormatError,
     LossTrace,
+    Manifest,
     TraceError,
     builtin_condition,
     builtin_registry,
@@ -39,6 +40,7 @@ from stagemix import (
 )
 from stagemix import DatasetSource, ScheduleCondition, StagePlan
 from stagemix.formats import (
+    _BLOCK_ROWS,
     EVENT_COLUMNS,
     LOSS_COLUMNS,
     _decode,
@@ -179,6 +181,38 @@ class TestManifestFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="step/stage/dataset/instance"):
             read_manifest(path)
+
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", "x", "seed must be a non-negative integer, got 'x'"),
+            ("seed", -1, "seed must be a non-negative integer, got -1"),
+            ("seed", 2**64, "seed must be a non-negative integer below 2\\*\\*64"),
+            ("seed", True, "seed must be a non-negative integer, got True"),
+            ("stage_steps", {"1": 4, "2": "three"}, "stage_steps 2 must be a non-negative integer, got 'three'"),
+            ("stage_steps", {"1": -4}, "stage_steps 1 must be a non-negative integer, got -4"),
+            ("stage_steps", {"1": 4.0}, "stage_steps 1 must be a non-negative integer, got 4.0"),
+            ("stage_steps", {"x": 4}, "stage_steps key 'x' is not a stage index"),
+            ("stage_steps", {"0": 4}, "stage_steps key '0' is not a stage index"),
+            ("stage_steps", {"01": 4}, "stage_steps key '01' is not a stage index"),
+            ("stage_steps", {"-1": 4}, "stage_steps key '-1' is not a stage index"),
+            ("stage_steps", {"١": 4}, "stage_steps key '١' is not a stage index"),
+            ("stage_steps", [4, 8], "stage_steps must be an object"),
+        ],
+    )
+    @pytest.mark.parametrize("read", [read_manifest, read_manifest_header])
+    def test_header_fields_are_checked(self, tmp_path, read, field, value, message):
+        manifest = generate_manifest(SMALL_CONDITION, SMALL_REGISTRY, seed=3)
+        path = tmp_path / "run.jsonl"
+        write_manifest(manifest, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"^{path}: manifest header {message}"):
+            read(path)
 
 
 class TestLossTraceFiles:
@@ -515,6 +549,142 @@ class TestColumnReader:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f"^{path}: line 3 instance must be an integer"):
             read_manifest(path)
+
+
+def template_write_manifest(manifest, path):
+    """The per-line %-template manifest writer that the column codec replaced: the reference."""
+    header = json.dumps(manifest.header(), separators=(",", ":"))
+    quoted = [json.dumps(name) for name in manifest.dataset_names]
+    template = '{"step":%d,"stage":%d,"dataset":%s,"instance":%d}'
+    steps, stages = manifest.steps.tolist(), manifest.stages.tolist()
+    ids, instances = manifest.dataset_ids.tolist(), manifest.instances.tolist()
+    lines = [header] + [template % (steps[i], stages[i], quoted[ids[i]], instances[i]) for i in range(len(steps))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def template_save_loss_trace(trace, path):
+    """The per-line %-template loss writer that the column codec replaced: the reference."""
+    steps, stages, losses = trace.steps.tolist(), trace.stages.tolist(), trace.losses.tolist()
+    lines = ['{"step":%d,"stage":%d,"loss":%s}' % (steps[i], stages[i], repr(losses[i])) for i in range(len(steps))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+WRITER_INTS = [0, 1, -1, 9, 10, -10, 10**18 - 1, 2**63 - 1, -(2**63) + 1, -(2**63)]
+WRITER_NAMES = ['q"t', "b\\s", "\t\n\x1f", "\x00", "café", "\U0001f600", "", "com,ma"]
+WRITER_FLOATS = [5e-324, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 1e16, 0.1]
+# around the block edges of the writer, and the empty file
+WRITER_ROWS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+writer_ints = st.one_of(st.sampled_from(WRITER_INTS), st.integers(-(2**63), 2**63 - 1), st.integers(0, 10**6))
+# names stay short, so that no token is wider than a line and the fast reader takes every valid file
+writer_names = st.one_of(st.sampled_from(WRITER_NAMES), st.text(max_size=3))
+
+
+def tiled(values, rows, dtype=np.int64):
+    return np.resize(np.array(values, dtype=dtype), rows)
+
+
+def fast_or_general(data: bytes, columns, start: int, fast_expected: bool):
+    """The columns as _jsonl_columns reads them, which it must when `fast_expected`, else the general path's."""
+    fast = _jsonl_columns(data, columns, start)
+    assert fast_expected <= (fast is not None)
+    return fast if fast is not None else general_columns(data, columns, first=1 if start else 0)
+
+
+def writer_records(*kinds):
+    """Lists of tuples of `kinds`; in half of them every integer is in the fast reader's range, [0, 10**18)."""
+    records = st.lists(st.tuples(*kinds), min_size=1, max_size=9)
+    unsigned = records.map(lambda rs: [tuple(abs(v) % 10**18 if type(v) is int else v for v in r) for r in rs])
+    return st.one_of(records, unsigned)
+
+
+def in_fast_range(values) -> bool:
+    return all(0 <= v < 10**18 for v in values)
+
+
+class TestColumnWriter:
+    """write_manifest and save_loss_trace give the bytes of the per-line template writers."""
+
+    @pytest.mark.parametrize("rows", WRITER_ROWS)
+    @settings(max_examples=3)
+    @given(
+        records=writer_records(writer_ints, writer_ints, writer_ints, st.integers(0, 99)),
+        names=st.lists(writer_names, min_size=1, max_size=5, unique=True),
+    )
+    def test_manifest(self, rows, records, names):
+        columns = np.resize(np.array([r[:3] for r in records], dtype=np.int64), (rows, 3)).T
+        ids = tiled([r[3] % len(names) for r in records], rows)
+        manifest = Manifest("toy", 2**64 - 1, "d" * 64, "gen", {1: 4, 2: 0}, tuple(names),
+                            columns[0], columns[1], ids, columns[2])
+        with tempfile.TemporaryDirectory() as tmp:
+            write_manifest(manifest, Path(tmp) / "new.jsonl")
+            template_write_manifest(manifest, Path(tmp) / "old.jsonl")
+            data = (Path(tmp) / "new.jsonl").read_bytes()
+            assert data == (Path(tmp) / "old.jsonl").read_bytes()
+        start = data.find(b"\n") + 1
+        if not rows:
+            assert data[start:] == b""
+            return
+        fast = in_fast_range(columns.ravel().tolist()) and not any("," in names[i] for i in set(ids.tolist()))
+        got = fast_or_general(data, EVENT_COLUMNS, start, fast)
+        for key, column in zip(("step", "stage", "instance"), columns):
+            assert np.array_equal(got[key], column)
+        got_names, got_ids = got["dataset"]
+        assert [got_names[i] for i in got_ids.tolist()] == [names[i] for i in ids.tolist()]
+
+    @pytest.mark.parametrize("rows", WRITER_ROWS)
+    @settings(max_examples=3)
+    @given(
+        records=writer_records(
+            writer_ints,
+            writer_ints,
+            st.one_of(st.sampled_from(WRITER_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+        )
+    )
+    def test_loss_trace(self, rows, records):
+        trace = LossTrace(
+            steps=tiled([r[0] for r in records], rows),
+            stages=tiled([r[1] for r in records], rows),
+            losses=tiled([r[2] for r in records], rows, dtype=np.float64),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            save_loss_trace(trace, Path(tmp) / "new.jsonl")
+            template_save_loss_trace(trace, Path(tmp) / "old.jsonl")
+            data = (Path(tmp) / "new.jsonl").read_bytes()
+            assert data == (Path(tmp) / "old.jsonl").read_bytes()
+        if not rows:
+            assert data == b"\n"
+            return
+        fast = in_fast_range([v for r in records for v in r[:2]])
+        got = fast_or_general(data, LOSS_COLUMNS, 0, fast)
+        assert np.array_equal(got["step"], trace.steps) and np.array_equal(got["stage"], trace.stages)
+        assert got["loss"].tobytes() == trace.losses.tobytes()
+
+    def test_empty_manifest_is_its_header_line(self, tmp_path):
+        empty = np.zeros(0, dtype=np.int64)
+        manifest = Manifest("toy", 3, "d" * 64, "gen", {1: 0}, (), empty, empty, empty, empty)
+        write_manifest(manifest, tmp_path / "run.jsonl")
+        header = json.dumps(manifest.header(), separators=(",", ":"))
+        assert (tmp_path / "run.jsonl").read_text() == header + "\n"
+
+    @pytest.mark.parametrize(
+        "ids, steps, error", [([0, 3], 2, IndexError), ([-1, 0], 2, IndexError), ([0, 1], 3, ValueError)]
+    )
+    def test_inconsistent_manifest_writes_nothing(self, tmp_path, ids, steps, error):
+        two = np.ones(2, dtype=np.int64)
+        names = ("a", "b", "c")
+        manifest = Manifest("toy", 3, "d" * 64, "gen", {1: 2}, names, np.arange(steps), two, np.array(ids), two)
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(error):
+            write_manifest(manifest, path)
+        assert not path.exists()
+
+    def test_non_finite_loss_in_a_late_block_writes_nothing(self, tmp_path):
+        losses = np.ones(2 * _BLOCK_ROWS + 1)
+        losses[-1] = np.nan
+        path = tmp_path / "loss.jsonl"
+        with pytest.raises(TraceError, match="not finite"):
+            save_loss_trace(make_trace(losses), path)
+        assert not path.exists()
 
 
 class TestEvalLogFiles:

@@ -80,6 +80,12 @@ class TestAggregation:
         assert fmt_percent(Decimal("0.0148")) == "1.48%"
         assert fmt_percent(0.0148) == "1.48%"
 
+    def test_rounding_past_the_default_precision(self):
+        assert fmt_fixed(Decimal("1e25"), 3) == "1" + "0" * 25 + ".000"
+        assert fmt_fixed(Decimal("9" * 30 + ".9995"), 3) == "1" + "0" * 30 + ".000"
+        assert fmt_fixed(-1.7976931348623157e308, 1) == "-17976931348623157" + "0" * 292 + ".0"
+        assert fmt_percent(Decimal("3e30")) == "3" + "0" * 32 + ".00%"
+
     def test_missing_task_is_not_aggregable(self):
         partial = dict(FINAL_SCORES["A"])
         del partial["DocVQA"]

@@ -462,14 +462,20 @@ def stability_summary(
     own window (same size by default); transition stability is the largest
     absolute relative loss change across a stage boundary, None for
     single-stage traces.
+
+    Losses near the float64 limit can overflow the sums behind a statistic;
+    then this raises TraceError rather than report a non-finite value.
     """
     if spike_window is None:
         spike_window = window
     window = _check_window(window, len(trace))
     spike_window = _check_window(spike_window, len(trace), name="spike window")
-    fluctuation_stats = window_stats(trace, window)
-    spike_stats = fluctuation_stats if spike_window == window else window_stats(trace, spike_window)
-    spikes = _spike_report(trace, spike_stats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fluctuation_stats = window_stats(trace, window)
+        spike_stats = fluctuation_stats if spike_window == window else window_stats(trace, spike_window)
+        spikes = _spike_report(trace, spike_stats)
+        loss_std = float(fluctuation_stats.stds.mean())
+        global_loss_std = global_std(trace)
     if np.any(np.diff(trace.stages) != 0):
         transition_report = stage_transition_ratio(trace)
         transitions = transition_report.transitions
@@ -477,11 +483,14 @@ def stability_summary(
     else:
         transitions = ()
         stability = None
+    statistics = (loss_std, global_loss_std, stability or 0.0)
+    if not (np.isfinite(statistics).all() and np.isfinite(spike_stats.stds).all()):
+        raise TraceError("losses are too large to summarize: a loss statistic overflows float64")
     return StabilitySummary(
         window=window,
         spike_window=spike_window,
-        loss_std=float(fluctuation_stats.stds.mean()),
-        global_loss_std=global_std(trace),
+        loss_std=loss_std,
+        global_loss_std=global_loss_std,
         spike_frequency=spikes.frequency,
         n_windows=spikes.n_windows,
         n_spikes=len(spikes.spike_steps),

@@ -12,7 +12,9 @@ on how many draws came before it in wall-clock terms:
 * Instance choice: dataset d (lexicographic rank r among registry names) owns
   the stream keyed (seed, 1 + r). Its pool is walked in concatenated full
   permutations; permutation k is the stable argsort of pool-size raw words
-  read at offset k * size. Draw j from the dataset yields instance
+  read at offset k * size. It is computed with numpy's default sort, and a
+  tie among the words goes to the stable sort, so the bytes never depend on
+  the sort algorithm. Draw j from the dataset yields instance
   perm[j % size] of permutation j // size, so every instance appears exactly
   once per pass.
 
@@ -75,6 +77,20 @@ def _uniforms(seed: int, tag: int, offset: int, count: int) -> np.ndarray:
     return (_raw_words(seed, tag, offset, count) >> np.uint64(11)) * _U53_SCALE
 
 
+def _permutation(words: np.ndarray) -> np.ndarray:
+    """The stable argsort of `words`, computed with numpy's default sort.
+
+    Without two equal words the sorting permutation is unique, so any
+    correct sort gives the stable one; a tie, and only a tie, goes to the
+    stable sort itself.
+    """
+    perm = np.argsort(words)
+    ranked = words[perm]
+    if np.any(ranked[1:] == ranked[:-1]):
+        return np.argsort(words, kind="stable")
+    return perm
+
+
 def _instance_block(
     seed: int, tag: int, size: int, start: int, count: int, perms: dict
 ) -> np.ndarray:
@@ -93,7 +109,7 @@ def _instance_block(
         if last is None or last[0] != refill:
             last = perms[tag] = (
                 refill,
-                np.argsort(_raw_words(seed, tag, refill * size, size), kind="stable"),
+                _permutation(_raw_words(seed, tag, refill * size, size)),
             )
         out[filled : filled + take] = last[1][pos : pos + take]
         filled += take

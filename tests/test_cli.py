@@ -483,6 +483,14 @@ class TestHostileInput:
         else:
             assert json.loads(out, parse_constant=pytest.fail)["loss_std"] == 1e25
 
+    @pytest.mark.parametrize("fmt", ["text", "data"])
+    def test_losses_too_large_to_summarize(self, tmp_path, fmt):
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join('{"step":%d,"stage":1,"loss":%r}\n' % (i, (1e308, 1.7e308)[i % 2]) for i in range(100)))
+        result = stagemix_process("analyze", "--trace", str(path), "--window", "10", "--format", fmt)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: losses are too large to summarize: a loss statistic overflows float64\n"
+
     def test_data_reports_are_strict_json(self, tmp_path):
         out = tmp_path / "report.json"
         args = type("Args", (), {"format": "data", "out": str(out)})

@@ -1,7 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stagemix import (
     DatasetSource,
@@ -17,7 +21,9 @@ from stagemix import (
     empirical_distribution,
     generate_manifest,
     registry_digest,
+    write_manifest,
 )
+from stagemix.sampling import _permutation
 
 TOY_REGISTRY = (
     DatasetSource("alpha", "D0-alignment", 5),
@@ -266,6 +272,81 @@ class TestInstancePermutations:
         for rank, name in enumerate(names):
             mine = [int(e.instance) for e in manifest.events() if e.dataset == name]
             assert mine == oracle_instances(7, rank, sizes[name], len(mine))
+
+
+class TestPermutation:
+    """`_permutation` must equal the stable argsort that defines the scheme,
+    ties included: numpy's default sort orders equal words differently."""
+
+    def test_ties_take_the_stable_order(self):
+        words = np.random.default_rng(0).integers(0, 8, 10_000).astype(np.uint64)
+        assert np.array_equal(_permutation(words), np.argsort(words, kind="stable"))
+
+    @given(
+        size=st.sampled_from([0, 1, 2, 16, 17, 10_000]),
+        values=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_stable_argsort(self, size, values, share, seed):
+        # Random words, then a `share` of them overwritten with a few values.
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 2**64, size, dtype=np.uint64)
+        duplicate = rng.random(size) < share
+        words[duplicate] = np.array(values, dtype=np.uint64)[rng.integers(0, len(values), duplicate.sum())]
+        assert np.array_equal(_permutation(words), np.argsort(words, kind="stable"))
+
+
+# The six built-in dataset names with pools so small that every dataset
+# refills its pool 40 times or more within TINY_STEPS, in every condition.
+TINY_REGISTRY = (
+    DatasetSource("LLaVA-Pretrain", "D0-alignment", 50),
+    DatasetSource("ShareGPT4V", "D1-general", 7),
+    DatasetSource("AI2D", "D2-reasoning", 1),
+    DatasetSource("ChartQA", "D2-reasoning", 2),
+    DatasetSource("TextVQA", "D3-ocr", 3),
+    DatasetSource("DocVQA", "D3-ocr", 17),
+)
+TINY_STEPS = (2000, 9000, 9000)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def tiny_manifest_digest(cond_id: str, seed: int, directory) -> str:
+    path = Path(directory) / f"{cond_id}.jsonl"
+    write_manifest(generate_manifest(builtin_condition(cond_id, TINY_STEPS), TINY_REGISTRY, seed), path)
+    return _sha256(path.read_bytes())
+
+
+def tiny_resume_digest(seed: int) -> str:
+    """Events of a sampler resumed at step 6000 (stage 2) and run 5000 steps on."""
+    first = ManifestSampler(builtin_condition("D", TINY_STEPS), TINY_REGISTRY, seed)
+    first.take(6000)
+    resumed = ManifestSampler.from_state(json.loads(json.dumps(first.state())))
+    events = [list(event) for event in resumed.take(5000)]
+    return _sha256(json.dumps(events, separators=(",", ":")).encode())
+
+
+class TestFrozenBytes:
+    """sha256 of outputs written before permutations moved off the stable
+    sort; any change to how a pool is permuted changes them."""
+
+    MANIFESTS = {
+        "A": "f95801aa6ef65d2d1aebd5eb56c39d821997f7f6fa9cd56e99688299bd08ab3d",
+        "B": "6fb51650cc5c7c582cf912a279d9fb126b492cbadf7605a00bc40b8ea42b8fbc",
+        "C": "3e136b362242c58bf55373754ccbe836481a0091701447ba060074e87dbe5dda",
+        "D": "15fca31c8a060818c92309a08a8b1e38f1d26100f48d698e10db13d5cb56eff3",
+    }
+    RESUMED_TAKE = "5f22703429c26474991829775b0811d4cedcf72acc1dde01d3b98216f506724e"
+
+    @pytest.mark.parametrize("cond_id", sorted(MANIFESTS))
+    def test_tiny_pool_manifest_bytes(self, cond_id, tmp_path):
+        assert tiny_manifest_digest(cond_id, 5, tmp_path) == self.MANIFESTS[cond_id]
+
+    def test_resumed_take_across_refills(self):
+        assert tiny_resume_digest(5) == self.RESUMED_TAKE
 
 
 class TestChoiceStream:

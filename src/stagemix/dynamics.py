@@ -17,7 +17,9 @@ values and their squares give every prefix and suffix; `_merge` joins a
 window's two parts with the pairwise update of Chan, Golub & LeVeque (1983).
 Flat windows are exact: a window with no change of value has std exactly 0.0
 and mean exactly its shared value, so float error cannot conjure a nonzero
-threshold width out of a flat window.
+threshold width out of a flat window. A window that is not flat but whose
+shifted sums overflow float64 has a NaN std, never 0.0, so that
+stability_summary refuses it rather than report it as flat.
 
 The streaming RollingWindow runs the same arithmetic in the same order: it
 sums the block being filled as it arrives and takes the suffix sums of each
@@ -168,7 +170,7 @@ def _block_window_stats(x: np.ndarray, window: int, blocks: int) -> tuple[np.nda
         shift[:-1, None], s[:, 1:], q[:, 1:], window - j, shift[1:, None], p, pq, j, window
     )
     var = m2.ravel() / window
-    std = np.sqrt(np.where(var > 0.0, var, 0.0))
+    std = np.sqrt(np.where(var <= 0.0, 0.0, var))  # a NaN variance (overflowed sums) stays NaN
     rows = blocks * window
     changes = np.concatenate(([0], np.cumsum(padded[1:] != padded[:-1])))
     flat = changes[window - 1 : window - 1 + rows] == changes[:rows]
@@ -257,7 +259,7 @@ class RollingWindow:
             self.mean, self.std = first, 0.0
         else:
             var = m2 / w
-            self.mean, self.std = mean, math.sqrt(var) if var > 0.0 else 0.0
+            self.mean, self.std = mean, 0.0 if var <= 0.0 else math.sqrt(var)
         return True
 
 
@@ -319,7 +321,10 @@ def global_std(trace: LossTrace) -> float:
 
 @dataclass(frozen=True)
 class Transition:
-    """One stage boundary, measured at the nearest logged records."""
+    """One stage boundary, measured at the nearest logged records.
+
+    ratio is None when the earlier loss is 0, where the relative change is undefined.
+    """
 
     from_stage: int
     to_stage: int
@@ -327,15 +332,16 @@ class Transition:
     step_after: int
     loss_before: float
     loss_after: float
-    ratio: float
+    ratio: float | None
 
 
 @dataclass(frozen=True)
 class TransitionReport:
     transitions: tuple[Transition, ...]
 
-    def max_abs_ratio(self) -> float:
-        return max(abs(t.ratio) for t in self.transitions)
+    def max_abs_ratio(self) -> float | None:
+        """The largest defined |ratio|; None when no boundary has one."""
+        return max((abs(t.ratio) for t in self.transitions if t.ratio is not None), default=None)
 
     def as_dict(self) -> dict:
         return {
@@ -355,24 +361,12 @@ class TransitionReport:
         }
 
 
-def stage_transition_ratio(trace: LossTrace) -> TransitionReport:
-    """Relative loss change across each stage boundary.
-
-    The boundary is measured at the last logged record of the earlier stage
-    and the first logged record of the later one, so sparse logging widens the
-    measurement gap rather than inventing values.
-    """
-    boundaries = np.flatnonzero(np.diff(trace.stages) != 0)
-    if len(boundaries) == 0:
-        raise ValueError("trace has a single stage; there is no transition to measure")
+def _transition_report(trace: LossTrace) -> TransitionReport:
+    """Every stage boundary of a multi-stage trace, an undefined ratio as None."""
     transitions = []
-    for i in boundaries:
+    for i in np.flatnonzero(np.diff(trace.stages) != 0):
         before = float(trace.losses[i])
         after = float(trace.losses[i + 1])
-        if before == 0.0:
-            raise ValueError(
-                f"transition ratio undefined: loss at step {int(trace.steps[i])} is 0"
-            )
         transitions.append(
             Transition(
                 from_stage=int(trace.stages[i]),
@@ -381,10 +375,28 @@ def stage_transition_ratio(trace: LossTrace) -> TransitionReport:
                 step_after=int(trace.steps[i + 1]),
                 loss_before=before,
                 loss_after=after,
-                ratio=(after - before) / before,
+                ratio=None if before == 0.0 else (after - before) / before,
             )
         )
     return TransitionReport(transitions=tuple(transitions))
+
+
+def stage_transition_ratio(trace: LossTrace) -> TransitionReport:
+    """Relative loss change across each stage boundary.
+
+    The boundary is measured at the last logged record of the earlier stage
+    and the first logged record of the later one, so sparse logging widens the
+    measurement gap rather than inventing values. A boundary whose earlier
+    loss is 0 has no ratio and raises ValueError here; stability_summary
+    reports it with ratio None instead.
+    """
+    report = _transition_report(trace)
+    if not report.transitions:
+        raise ValueError("trace has a single stage; there is no transition to measure")
+    for t in report.transitions:
+        if t.ratio is None:
+            raise ValueError(f"transition ratio undefined: loss at step {t.step_before} is 0")
+    return report
 
 
 @dataclass(frozen=True)
@@ -461,7 +473,8 @@ def stability_summary(
     Fluctuation (loss std) is the mean windowed std; spike frequency uses its
     own window (same size by default); transition stability is the largest
     absolute relative loss change across a stage boundary, None for
-    single-stage traces.
+    single-stage traces and when no boundary has a defined ratio (the loss
+    before every boundary is 0).
 
     Losses near the float64 limit can overflow the sums behind a statistic;
     then this raises TraceError rather than report a non-finite value.
@@ -476,13 +489,9 @@ def stability_summary(
         spikes = _spike_report(trace, spike_stats)
         loss_std = float(fluctuation_stats.stds.mean())
         global_loss_std = global_std(trace)
-    if np.any(np.diff(trace.stages) != 0):
-        transition_report = stage_transition_ratio(trace)
-        transitions = transition_report.transitions
-        stability = transition_report.max_abs_ratio()
-    else:
-        transitions = ()
-        stability = None
+    transition_report = _transition_report(trace)
+    transitions = transition_report.transitions
+    stability = transition_report.max_abs_ratio()
     statistics = (loss_std, global_loss_std, stability or 0.0)
     if not (np.isfinite(statistics).all() and np.isfinite(spike_stats.stds).all()):
         raise TraceError("losses are too large to summarize: a loss statistic overflows float64")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 from bisect import bisect_right
 from decimal import Decimal
 from pathlib import Path
@@ -152,25 +153,70 @@ def _object_columns(path, lines: list[str], objects: list, columns: dict, first:
 _NUMBER_BYTES = np.zeros(256, dtype=bool)
 _NUMBER_BYTES[list(b"0123456789+-.eE,")] = True
 
+# Bytes per block of _jsonl_columns: about this many bytes of whole lines.
+_READ_BLOCK_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _jsonl_columns(data: bytes, columns: dict, start: int = 0) -> dict | None:
     """Columns of the JSONL lines in data[start:], read without building a dict per line.
 
     Handles only the layout the writers here produce: every line is exactly
     `{"k1":v1,...,"km":vm}\\n` with the keys of `columns` in order, integers
-    as at most 18 digits without a leading zero, and strings in ASCII. No
-    token may be wider than the mean line, so that each (lines, width) token
-    matrix stays within the file's size. Any other file, valid or not, gives
-    None (a file whose first line differs at once), and the caller reads it
-    with _jsonl_objects and _object_columns, which also report its errors.
-    Both paths give the same columns for every file this one accepts.
+    as at most 18 digits without a leading zero, and strings in ASCII. Any
+    other file, valid or not, gives None, and the caller reads it with
+    _jsonl_objects and _object_columns, which also report its errors. Both
+    paths give the same columns for every file this one accepts.
+
+    data[start:] is cut into blocks of whole lines of about _READ_BLOCK_BYTES
+    (a longer line is a block of its own), which _jsonl_block parses
+    independently. The first block is parsed here, so a file in another layout
+    is refused after at most one block; the rest are parsed on a thread per
+    usable CPU, as numpy's loops release the interpreter lock. No token may be
+    wider than its block's mean line, so that each (lines, width) token matrix
+    stays within its block's size.
     """
-    first = data.find(b"\n", start) + 1
-    if 0 < first < len(data) and _jsonl_columns(data[:first], columns, start) is None:
-        return None  # the first line already has another layout: refuse before scanning the rest
-    buf = np.frombuffer(data, dtype=np.uint8)[start:]
-    if not len(buf) or buf[-1] != ord("\n"):
+    if len(data) <= start or data[-1] != ord("\n"):
         return None
+    cuts = [start]
+    while cuts[-1] < len(data):
+        lo = cuts[-1]
+        end = data.rfind(b"\n", lo, lo + _READ_BLOCK_BYTES)
+        cuts.append((end if end >= 0 else data.find(b"\n", lo + _READ_BLOCK_BYTES)) + 1)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    blocks = [buf[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    parts = [_jsonl_block(blocks[0], columns)]
+    if parts[0] is None:
+        return None
+    if len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # costs ~7 ms: not at import time
+
+        with ThreadPoolExecutor(_usable_cpus()) as pool:
+            parts += pool.map(_jsonl_block, blocks[1:], itertools.repeat(columns))
+        if any(part is None for part in parts):
+            return None
+    out = {}
+    for key, kind in columns.items():  # popping each block's column frees it once joined
+        if kind is not str:
+            out[key] = np.concatenate([part.pop(key) for part in parts])
+            continue
+        # The sorted union of the blocks' names; each block's codes remapped into it.
+        pairs = [part.pop(key) for part in parts]
+        names = tuple(sorted(set().union(*(block_names for block_names, _ in pairs))))
+        index = {name: i for i, name in enumerate(names)}
+        codes = [np.array([index[name] for name in block_names], dtype=np.int64)[ids] for block_names, ids in pairs]
+        out[key] = names, np.concatenate(codes)
+    return out
+
+
+def _jsonl_block(buf: np.ndarray, columns: dict) -> dict | None:
+    """Columns of one block of whole lines, in _jsonl_columns's layout, or None."""
     ends = np.flatnonzero(buf == ord("\n"))
     n = len(ends)
     begins = np.concatenate(([0], ends[:-1] + 1))
@@ -242,16 +288,31 @@ def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
         return None
 
 
+# Odd multiplier of _str_tokens's row hash: 2**64 over the golden ratio.
+_ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
 def _str_tokens(buf, begins, lengths):
     matrix, inside = _token_matrix(buf, begins, lengths)
     last = matrix[np.arange(len(begins)), lengths - 1]
     if ((matrix[:, 0] != ord('"')) | (last != ord('"'))).any():
         return None
     matrix[~inside] = 0
-    # A token ends in its closing quote, so the NUL padding that S strips is never part of it.
-    raw, inverse = np.unique(matrix.view(f"S{matrix.shape[1]}").ravel(), return_inverse=True)
+    # Factorize the rows as uint64 words: a multiply-add hash per row, then an
+    # exact check of every row against the first row with its hash.
+    words = np.zeros((len(begins), -(-matrix.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : matrix.shape[1]] = matrix
+    words = words.view(np.uint64)
+    hashes = words[:, 0].copy()
+    for c in range(1, words.shape[1]):
+        hashes = hashes * _ROW_HASH + words[:, c]
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    if not (words[first[inverse]] == words).all():
+        return None  # two distinct tokens share a hash
     values = []
-    for token in raw.tolist():
+    # A token ends in its closing quote, so the NUL padding that S strips is never part of it.
+    for token in words[first].view(f"S{words.itemsize * words.shape[1]}").ravel().tolist():
         if not token.isascii():  # json.loads would let encoded surrogates through
             return None
         try:
@@ -259,7 +320,7 @@ def _str_tokens(buf, begins, lengths):
         except ValueError:
             return None
     names, codes = _factorize(values)
-    return names, codes[inverse.ravel()]
+    return names, codes[inverse]
 
 
 def _factorize(values: list) -> tuple[tuple, np.ndarray]:

@@ -96,7 +96,10 @@ def render_comparison(table: ComparisonTable) -> str:
 
 
 def render_stability_row(condition: str, summary: StabilitySummary) -> list[str]:
-    stab = "n/a" if summary.transition_stability is None else fmt_fixed(summary.transition_stability, 2)
+    if summary.transition_stability is not None:
+        stab = fmt_fixed(summary.transition_stability, 2)
+    else:
+        stab = "undefined" if summary.transitions else "n/a"
     return [
         condition,
         fmt_fixed(summary.loss_std, 3),
@@ -119,15 +122,18 @@ def render_stability_summary(summary: StabilitySummary) -> str:
         f"loss std: {fmt_fixed(summary.loss_std, 3)} (mean windowed; global {fmt_fixed(summary.global_loss_std, 3)})",
         f"spike frequency: {fmt_percent(summary.spike_frequency)} ({summary.n_spikes} of {summary.n_windows} windows)",
     ]
-    if summary.transition_stability is None:
+    if not summary.transitions:
         lines.append("transition stability: n/a (single stage)")
     else:
-        lines.append(f"transition stability: {fmt_fixed(summary.transition_stability, 2)}")
+        stability = summary.transition_stability
+        stab = "undefined (every boundary has loss 0 before it)" if stability is None else fmt_fixed(stability, 2)
+        lines.append(f"transition stability: {stab}")
         for t in summary.transitions:
+            ratio = "undefined (loss 0 before the boundary)" if t.ratio is None else format(t.ratio, "+.4f")
             lines.append(
                 f"  stage {t.from_stage}->{t.to_stage}: steps {t.step_before}->{t.step_after},"
                 f" loss {format(t.loss_before, '.6g')}->{format(t.loss_after, '.6g')},"
-                f" ratio {format(t.ratio, '+.4f')}"
+                f" ratio {ratio}"
             )
     gaps = summary.gaps
     if gaps.regular:

@@ -247,6 +247,29 @@ class TestAnalyze:
         code, _, err = cli(capsys, "analyze", "--trace", str(path), "--window", "2")
         assert code == 1
 
+    def test_simulated_zero_loss_at_a_boundary(self, tmp_path, capsys):
+        # noise clips the loss to 0 at step 1999, the last step of stage 1
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "stages": [
+                {"steps": 2000, "amplitude": 1.0, "tau": 300.0, "noise": 0.02},
+                {"steps": 3000, "amplitude": 0.5, "tau": 500.0, "noise": 0.02},
+            ],
+            "injections": [{"step": 2500, "multiplier": 3.0}],
+        }))
+        log = tmp_path / "loss.jsonl"
+        assert run(["simulate", "loss", "--spec", str(spec), "--seed", "4", "--out", str(log)]) == 0
+        assert '{"step":1999,"stage":1,"loss":0.0}' in log.read_text()
+        code, out, err = cli(capsys, "analyze", "--trace", str(log), "--window", "50")
+        assert (code, err) == (0, "")
+        assert "transition stability: undefined (every boundary has loss 0 before it)" in out
+        assert "stage 1->2: steps 1999->2000, loss 0->" in out and "ratio undefined (loss 0 before the boundary)" in out
+        assert "spike frequency: " in out
+        code, out, err = cli(capsys, "analyze", "--trace", str(log), "--window", "50", "--format", "data")
+        payload = json.loads(out)
+        assert (code, payload["transition_stability"], payload["transitions"][0]["ratio"]) == (0, None, None)
+        assert payload["windows_tested"] == 5000 - 50 + 1
+
 
 class TestMetrics:
     def test_aggregate_last_snapshot(self, eval_log, capsys):
@@ -488,6 +511,15 @@ class TestHostileInput:
         path = tmp_path / "log.jsonl"
         path.write_text("".join('{"step":%d,"stage":1,"loss":%r}\n' % (i, (1e308, 1.7e308)[i % 2]) for i in range(100)))
         result = stagemix_process("analyze", "--trace", str(path), "--window", "10", "--format", fmt)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: losses are too large to summarize: a loss statistic overflows float64\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "data"])
+    def test_overflowed_window_is_not_read_as_flat(self, tmp_path, fmt):
+        path = tmp_path / "log.jsonl"
+        losses = [-8.26e153] + [0.0] * 7 + [1.0] * 4
+        path.write_text("".join('{"step":%d,"stage":1,"loss":%r}\n' % (i, loss) for i, loss in enumerate(losses)))
+        result = stagemix_process("analyze", "--trace", str(path), "--window", "8", "--format", fmt)
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "error: losses are too large to summarize: a loss statistic overflows float64\n"
 

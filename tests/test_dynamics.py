@@ -243,6 +243,30 @@ class TestBlockKernel:
         dyn.stability_summary(trace, window=20, spike_window=30)
         assert calls == [20, 30]
 
+    def test_overflowed_window_sums_read_nan_not_zero(self):
+        # block 0's shifted squares overflow, so every window touching them has a NaN variance;
+        # [0] * 7 + [1.0] has std 0.33 and must not read as 0
+        losses = [-8.26e153] + [0.0] * 7 + [1.0] * 4
+        trace = make_trace(losses)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = window_stats(trace, 8)
+            roll = RollingWindow(8)
+            stream = [roll.std for value in losses if roll.push(value)]
+        assert np.isnan(batch.stds).all()
+        assert np.isnan(stream).all()
+        with pytest.raises(TraceError, match="too large to summarize"):
+            stability_summary(trace, window=8)
+
+    def test_flat_windows_stay_zero_next_to_overflowed_ones(self):
+        losses = [-8.26e153] + [0.0] * 15
+        trace = make_trace(losses)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = window_stats(trace, 8)
+            roll = RollingWindow(8)
+            stream = [roll.std for value in losses if roll.push(value)]
+        assert np.isnan(batch.stds[0]) and np.isnan(stream[0])
+        assert batch.stds[1:].tolist() == stream[1:] == [0.0] * 8
+
 
 class TestSpikeDetection:
     def test_threshold_boundary_is_strict(self):
@@ -381,6 +405,20 @@ class TestTransitions:
         trace = make_trace([0.0, 0.0, 1.0], stages=[1, 1, 2])
         with pytest.raises(ValueError, match="undefined"):
             stage_transition_ratio(trace)
+
+    def test_zero_loss_ratio_is_undefined_in_the_summary(self):
+        trace = make_trace([1.0, 0.0, 1.0, 2.0, 3.0, 6.0], stages=[1, 1, 2, 2, 3, 3])
+        summary = stability_summary(trace, window=2)
+        assert [t.ratio for t in summary.transitions] == [None, 0.5]
+        assert summary.transition_stability == 0.5
+        assert summary.as_dict()["transitions"][0]["ratio"] is None
+
+    def test_every_ratio_undefined(self):
+        trace = make_trace([1.0, 0.0, 1.0, 0.0, 3.0], stages=[1, 1, 2, 2, 3])
+        summary = stability_summary(trace, window=2)
+        assert [t.ratio for t in summary.transitions] == [None, None]
+        assert summary.transition_stability is None
+        assert summary.as_dict()["transition_stability"] is None
 
     def test_ratio_is_signed(self):
         trace = make_trace([4.0, 4.0, 1.0, 1.0], stages=[1, 1, 2, 2])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -38,12 +41,13 @@ from stagemix import (
     write_manifest,
     write_trajectory_csv,
 )
-from stagemix import DatasetSource, ScheduleCondition, StagePlan
+from stagemix import DatasetSource, ScheduleCondition, StagePlan, formats
 from stagemix.formats import (
     _BLOCK_ROWS,
     EVENT_COLUMNS,
     LOSS_COLUMNS,
     _decode,
+    _jsonl_block,
     _jsonl_columns,
     _jsonl_objects,
     _object_columns,
@@ -549,6 +553,123 @@ class TestColumnReader:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f"^{path}: line 3 instance must be an integer"):
             read_manifest(path)
+
+
+# names drawn only from stage 2 sort before the stage-1 name, so the first blocks of a manifest miss them
+LATE_REGISTRY = (
+    DatasetSource("zulu", "D0-alignment", 5),
+    DatasetSource("alpha", "D1-general", 4),
+    DatasetSource("mike", "D2-reasoning", 3),
+)
+LATE_CONDITION = ScheduleCondition(
+    id="late",
+    stages=(StagePlan(1, 40, {"zulu": 1.0}), StagePlan(2, 400, {"alpha": 0.75, "mike": 0.25})),
+)
+
+
+def random_trace(seed: int, records: int) -> LossTrace:
+    rng = np.random.default_rng(seed)
+    return LossTrace(
+        steps=np.cumsum(rng.integers(1, 1000, records)),
+        stages=np.sort(rng.integers(1, 4, records)),
+        losses=rng.standard_normal(records) * 10.0 ** rng.integers(-8, 8, records),
+    )
+
+
+def block_files(tmp_path):
+    """A loss log and a manifest as the writers lay them out: (columns, path, data, start, first line) each."""
+    trace_path, manifest_path = tmp_path / "loss.jsonl", tmp_path / "run.jsonl"
+    save_loss_trace(random_trace(3, 300), trace_path)
+    write_manifest(generate_manifest(LATE_CONDITION, LATE_REGISTRY, seed=11), manifest_path)
+    manifest = manifest_path.read_bytes()
+    return [
+        (LOSS_COLUMNS, trace_path, trace_path.read_bytes(), 0, 0),
+        (EVENT_COLUMNS, manifest_path, manifest, manifest.find(b"\n") + 1, 1),
+    ]
+
+
+class TestBlockReader:
+    """_jsonl_columns parses blocks of whole lines apart; joined, they give the whole file's columns."""
+
+    @pytest.fixture(params=[64, 200])
+    def block_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", request.param)
+        return request.param
+
+    def test_columns_match_general_path(self, block_bytes, tmp_path):
+        for columns, _, data, start, first in block_files(tmp_path):
+            assert len(data) > 50 * block_bytes
+            fast = _jsonl_columns(data, columns, start)
+            assert fast is not None
+            assert_same_columns(fast, general_columns(data, columns, first))
+
+    def test_names_first_seen_in_later_blocks_get_sorted_codes(self, block_bytes, tmp_path):
+        path = tmp_path / "run.jsonl"
+        manifest = generate_manifest(LATE_CONDITION, LATE_REGISTRY, seed=11)
+        write_manifest(manifest, path)
+        data = path.read_bytes()
+        start = data.find(b"\n") + 1
+        first_block = data[start : data.rfind(b"\n", start, start + block_bytes) + 1]
+        assert _jsonl_block(np.frombuffer(first_block, dtype=np.uint8), EVENT_COLUMNS)["dataset"][0] == ("zulu",)
+        names, codes = _jsonl_columns(data, EVENT_COLUMNS, start)["dataset"]
+        assert names == ("alpha", "mike", "zulu")
+        assert [names[i] for i in codes.tolist()] == [manifest.dataset_names[i] for i in manifest.dataset_ids.tolist()]
+        assert list(read_manifest(path).events()) == list(manifest.events())
+
+    def test_lines_longer_than_a_block(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 16)  # every line is a block of its own
+        for columns, _, data, start, first in block_files(tmp_path):
+            assert_same_columns(_jsonl_columns(data, columns, start), general_columns(data, columns, first))
+
+    def test_long_token_is_bounded_by_its_own_block(self, block_bytes):
+        # the long line is a block of its own, so its width does not widen the other blocks' matrices
+        lines = ['{"step":%d,"stage":1,"dataset":"a","instance":3}' % i for i in range(200)]
+        lines[7] = '{"step":7,"stage":1,"dataset":"' + "b" * 1000 + '","instance":3}'
+        data = ("\n".join(lines) + "\n").encode()
+        fast = _jsonl_columns(data, EVENT_COLUMNS)
+        assert fast is not None
+        assert_same_columns(fast, general_columns(data, EVENT_COLUMNS))
+
+    def test_defect_in_the_last_block_names_its_line(self, block_bytes, tmp_path):
+        for columns, path, data, start, _ in block_files(tmp_path):
+            lines = data.splitlines(keepends=True)
+            assert _jsonl_columns(b"".join(lines[:-1]), columns, start) is not None
+            lines[-1] = lines[-1].replace(b'"stage":', b'"stage":true,"x":')
+            data = b"".join(lines)
+            assert _jsonl_columns(data, columns, start) is None
+            path.write_bytes(data)
+            load = load_loss_trace if columns is LOSS_COLUMNS else read_manifest
+            with pytest.raises(FormatError, match=f"^{path}: line {len(lines)} stage must be an integer"):
+                load(path)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_worker_count_does_not_change_the_columns(self, block_bytes, monkeypatch, tmp_path, cpus):
+        files = block_files(tmp_path)
+        want = [_jsonl_columns(data, columns, start) for columns, _, data, start, _ in files]
+        monkeypatch.setattr(formats, "_usable_cpus", lambda: cpus)
+        for (columns, _, data, start, _), columns_before in zip(files, want):
+            assert_same_columns(_jsonl_columns(data, columns, start), columns_before)
+
+    def test_hash_collision_goes_the_general_way(self, monkeypatch, tmp_path):
+        # with a zero multiplier the row hash is a token's last word, which these two names share
+        monkeypatch.setattr(formats, "_ROW_HASH", np.uint64(0))
+        registry = (DatasetSource("aaaaaaa-tail", "D0-alignment", 5), DatasetSource("bbbbbbb-tail", "D1-general", 4))
+        condition = ScheduleCondition(
+            id="toy", stages=(StagePlan(1, 10, {"aaaaaaa-tail": 1.0}), StagePlan(2, 30, {"bbbbbbb-tail": 1.0}))
+        )
+        manifest = generate_manifest(condition, registry, seed=2)
+        path = tmp_path / "run.jsonl"
+        write_manifest(manifest, path)
+        data = path.read_bytes()
+        assert _jsonl_columns(data, EVENT_COLUMNS, data.find(b"\n") + 1) is None
+        assert list(read_manifest(path).events()) == list(manifest.events())
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    code = "import sys, stagemix.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 def template_write_manifest(manifest, path):

@@ -179,9 +179,7 @@ def _parse_run(pair: str):
 def _cmd_metrics_compare(args) -> int:
     named = []
     for name, path in args.runs:
-        snapshots = formats.load_eval_log(path)
-        snap = _final_snapshot(snapshots, None)
-        named.append((name, snap.scores))
+        named.append((name, _final_snapshot(formats.load_eval_log(path)).scores))
     table = comparison(named)
     if args.csv:
         formats.write_comparison_csv(table, args.csv)
@@ -393,10 +391,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except ValidationError as err:

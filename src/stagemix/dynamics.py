@@ -18,8 +18,8 @@ window's two parts with the pairwise update of Chan, Golub & LeVeque (1983).
 Flat windows are exact: a window with no change of value has std exactly 0.0
 and mean exactly its shared value, so float error cannot conjure a nonzero
 threshold width out of a flat window. A window that is not flat but whose
-shifted sums overflow float64 has a NaN std, never 0.0, so that
-stability_summary refuses it rather than report it as flat.
+shifted sums overflow float64 has a NaN std, never 0.0, and is refused with
+TraceError, at the same window in batch and streaming, without a warning.
 
 The streaming RollingWindow runs the same arithmetic in the same order: it
 sums the block being filled as it arrives and takes the suffix sums of each
@@ -48,6 +48,8 @@ SPIKE_SIGMA = 2.0
 # down to whole blocks (at least one).
 _CHUNK_CELLS = 4_000_000
 _CHUNK_TEMPORARIES = 16
+
+_OVERFLOW = "losses are too large to summarize: a loss statistic overflows float64"
 
 
 @dataclass(frozen=True)
@@ -186,12 +188,15 @@ def window_stats(trace: LossTrace, window: int = DEFAULT_WINDOW) -> WindowStats:
     means = np.empty(rows, dtype=np.float64)
     stds = np.empty(rows, dtype=np.float64)
     span = max(1, _CHUNK_CELLS // (_CHUNK_TEMPORARIES * window)) * window
-    for start in range(0, rows, span):
-        stop = min(start + span, rows)
-        blocks = -(-(stop - start) // window)
-        chunk = losses[start : start + (blocks + 1) * window]
-        mean, std = _block_window_stats(chunk, window, blocks)
-        means[start:stop], stds[start:stop] = mean[: stop - start], std[: stop - start]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are refused below
+        for start in range(0, rows, span):
+            stop = min(start + span, rows)
+            blocks = -(-(stop - start) // window)
+            chunk = losses[start : start + (blocks + 1) * window]
+            mean, std = _block_window_stats(chunk, window, blocks)
+            means[start:stop], stds[start:stop] = mean[: stop - start], std[: stop - start]
+    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        raise TraceError(_OVERFLOW)
     return WindowStats(window=window, steps=trace.steps[window - 1 :].copy(), means=means, stds=stds)
 
 
@@ -243,7 +248,8 @@ class RollingWindow:
         w = self.window
         j = len(block)
         if j == w:
-            s, q = _suffix_sums(np.array(block) - self._shift)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are refused below
+                s, q = _suffix_sums(np.array(block) - self._shift)
             self._prev, self._prev_shift = block, self._shift
             self._suffix, self._suffix_sq = s.tolist(), q.tolist()
             self._block = []
@@ -256,10 +262,11 @@ class RollingWindow:
                 self._shift, self._sum, self._sq, j, w,
             )
         if self._run >= w:
-            self.mean, self.std = first, 0.0
-        else:
-            var = m2 / w
-            self.mean, self.std = mean, 0.0 if var <= 0.0 else math.sqrt(var)
+            mean, m2 = first, 0.0
+        var = m2 / w
+        self.mean, self.std = mean, 0.0 if var <= 0.0 else math.sqrt(var)
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise TraceError(_OVERFLOW)
         return True
 
 
@@ -315,7 +322,10 @@ def local_fluctuation(trace: LossTrace, window: int = DEFAULT_WINDOW) -> float:
 
 
 def global_std(trace: LossTrace) -> float:
-    _, std = _window_mean_std(trace.losses[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean that overflows makes the std inf or NaN too
+        _, std = _window_mean_std(trace.losses[None, :])
+    if not np.isfinite(std[0]):
+        raise TraceError(_OVERFLOW)
     return float(std[0])
 
 
@@ -458,9 +468,7 @@ class StabilitySummary:
             "windows_tested": self.n_windows,
             "spikes": self.n_spikes,
             "transition_stability": self.transition_stability,
-            "transitions": TransitionReport(self.transitions).as_dict()["transitions"]
-            if self.transitions
-            else [],
+            "transitions": TransitionReport(self.transitions).as_dict()["transitions"],
             "gaps": self.gaps.as_dict(),
         }
 
@@ -476,34 +484,29 @@ def stability_summary(
     single-stage traces and when no boundary has a defined ratio (the loss
     before every boundary is 0).
 
-    Losses near the float64 limit can overflow the sums behind a statistic;
-    then this raises TraceError rather than report a non-finite value.
+    A statistic that overflows float64 (a window's sums over losses near the
+    limit, or a ratio over a tiny loss) raises TraceError, not a non-finite value.
     """
     if spike_window is None:
         spike_window = window
     window = _check_window(window, len(trace))
     spike_window = _check_window(spike_window, len(trace), name="spike window")
-    with np.errstate(over="ignore", invalid="ignore"):
-        fluctuation_stats = window_stats(trace, window)
-        spike_stats = fluctuation_stats if spike_window == window else window_stats(trace, spike_window)
-        spikes = _spike_report(trace, spike_stats)
-        loss_std = float(fluctuation_stats.stds.mean())
-        global_loss_std = global_std(trace)
-    transition_report = _transition_report(trace)
-    transitions = transition_report.transitions
-    stability = transition_report.max_abs_ratio()
-    statistics = (loss_std, global_loss_std, stability or 0.0)
-    if not (np.isfinite(statistics).all() and np.isfinite(spike_stats.stds).all()):
-        raise TraceError("losses are too large to summarize: a loss statistic overflows float64")
+    fluctuation_stats = window_stats(trace, window)
+    spike_stats = fluctuation_stats if spike_window == window else window_stats(trace, spike_window)
+    spikes = _spike_report(trace, spike_stats)
+    report = _transition_report(trace)
+    for t in report.transitions:
+        if t.ratio is not None and not math.isfinite(t.ratio):
+            raise TraceError(f"the stage {t.from_stage}->{t.to_stage} transition ratio overflows float64")
     return StabilitySummary(
         window=window,
         spike_window=spike_window,
-        loss_std=loss_std,
-        global_loss_std=global_loss_std,
+        loss_std=float(fluctuation_stats.stds.mean()),
+        global_loss_std=global_std(trace),
         spike_frequency=spikes.frequency,
         n_windows=spikes.n_windows,
         n_spikes=len(spikes.spike_steps),
-        transition_stability=stability,
-        transitions=transitions,
+        transition_stability=report.max_abs_ratio(),
+        transitions=report.transitions,
         gaps=gap_report(trace),
     )

@@ -146,7 +146,8 @@ def synth_loss(spec: LossTraceSpec, seed: int | None = None) -> SynthLoss:
     for stage in spec.stages:
         span = slice(start, start + stage.steps)
         offsets = np.arange(stage.steps, dtype=np.float64)
-        noiseless[span] = stage.amplitude * np.exp(-offsets / stage.tau)
+        with np.errstate(over="ignore"):  # with a tiny tau, -offsets / tau is -inf, and its exp exactly 0
+            noiseless[span] = stage.amplitude * np.exp(-offsets / stage.tau)
         stage_of[span] = stage.index
         noise_scale[span] = stage.noise
         start += stage.steps

@@ -602,3 +602,38 @@ class TestHostileInput:
         result = stagemix_process("simulate", *argv, "--seed", "-2", "--out", str(tmp_path / "out.jsonl"))
         assert result.returncode == 2
         assert result.stderr == "error: seed must be a non-negative integer, got -2\n"
+
+
+class TestJsonInput:
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize(
+        "argv, name, text",
+        [
+            (["validate", "--schedule"], "schedule.json", '{"conditions": %s}' % DEEP),
+            (["analyze", "--trace"], "loss.jsonl", DEEP + "\n"),
+            (["metrics", "aggregate", "--evals"], "evals.jsonl", DEEP + "\n"),
+        ],
+        ids=["validate", "analyze", "aggregate"],
+    )
+    def test_nesting_too_deep_to_parse_exits_three(self, tmp_path, argv, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        result = stagemix_process(*argv, str(path))
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith(f"error: {path}: ") and result.stderr.count("\n") == 1
+        assert "maximum recursion depth" in result.stderr
+
+    def test_a_transition_ratio_that_overflows_is_named(self, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"step":0,"stage":1,"loss":5e-324}\n{"step":1,"stage":2,"loss":1.0}\n')
+        code, out, err = cli(capsys, "analyze", "--trace", str(path), "--window", "1")
+        assert (code, out, err) == (1, "", "error: the stage 1->2 transition ratio overflows float64\n")
+
+    def test_a_tiny_tau_simulates_without_warnings(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"stages": [{"steps": 3, "amplitude": 2.0, "tau": 1e-320}]}')
+        out = tmp_path / "loss.jsonl"
+        result = stagemix_process("simulate", "loss", "--spec", str(spec), "--out", str(out))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert [json.loads(line)["loss"] for line in out.read_text().splitlines()] == [2.0, 0.0, 0.0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from stagemix import (
     stage_transition_ratio,
     window_stats,
 )
+from stagemix.dynamics import _block_window_stats
 
 
 def make_trace(losses, stages=None, steps=None):
@@ -179,6 +182,18 @@ def kernel_trace(window, seed=0):
 KERNEL_WINDOWS = [1, 2, 3, 50, 1000]
 
 
+def stream_stds(losses, window):
+    """Each ready RollingWindow push's std, or TraceError where the push raised it."""
+    roll, out = RollingWindow(window), []
+    for value in losses:
+        try:
+            if roll.push(value):
+                out.append(roll.std)
+        except TraceError:
+            out.append(TraceError)
+    return out
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("window", KERNEL_WINDOWS)
     def test_batch_matches_two_pass_reference(self, window):
@@ -245,27 +260,25 @@ class TestBlockKernel:
 
     def test_overflowed_window_sums_read_nan_not_zero(self):
         # block 0's shifted squares overflow, so every window touching them has a NaN variance;
-        # [0] * 7 + [1.0] has std 0.33 and must not read as 0
+        # [0] * 7 + [1.0] has std 0.33 and must not read as 0. The public functions refuse them.
         losses = [-8.26e153] + [0.0] * 7 + [1.0] * 4
         trace = make_trace(losses)
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = window_stats(trace, 8)
-            roll = RollingWindow(8)
-            stream = [roll.std for value in losses if roll.push(value)]
-        assert np.isnan(batch.stds).all()
-        assert np.isnan(stream).all()
+            _, stds = _block_window_stats(trace.losses, 8, 1)
+        assert np.isnan(stds[:5]).all()
+        assert stream_stds(losses, 8) == [TraceError] * 5
+        with pytest.raises(TraceError, match="too large to summarize"):
+            window_stats(trace, 8)
         with pytest.raises(TraceError, match="too large to summarize"):
             stability_summary(trace, window=8)
 
     def test_flat_windows_stay_zero_next_to_overflowed_ones(self):
         losses = [-8.26e153] + [0.0] * 15
-        trace = make_trace(losses)
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = window_stats(trace, 8)
-            roll = RollingWindow(8)
-            stream = [roll.std for value in losses if roll.push(value)]
-        assert np.isnan(batch.stds[0]) and np.isnan(stream[0])
-        assert batch.stds[1:].tolist() == stream[1:] == [0.0] * 8
+            _, stds = _block_window_stats(np.array(losses), 8, 2)
+        stream = stream_stds(losses, 8)
+        assert np.isnan(stds[0]) and stream[0] is TraceError
+        assert stds[1:9].tolist() == stream[1:] == [0.0] * 8
 
 
 class TestSpikeDetection:
@@ -482,3 +495,59 @@ class TestStabilitySummary:
         trace = make_trace([1.0] * 40)
         with pytest.raises(ValueError, match="spike window"):
             stability_summary(trace, window=10, spike_window=41)
+
+
+OVERFLOWING = [-8.26e153] + [0.0] * 7 + [1.0] * 4
+
+
+class TestOverflowRule:
+    """The window kernel refuses a statistic that overflows float64, with no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: window_stats(t, 8),
+            lambda t: detect_spikes(t, 8),
+            lambda t: spike_frequency(t, 8),
+            lambda t: local_fluctuation(t, 8),
+            lambda t: stability_summary(t, 8),
+            lambda t: list(map(RollingWindow(8).push, t.losses)),
+        ],
+        ids=["window_stats", "detect_spikes", "spike_frequency", "local_fluctuation", "stability_summary", "push"],
+    )
+    def test_overflowed_windows_raise_without_warnings(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceError, match="^losses are too large to summarize"):
+                call(make_trace(OVERFLOWING))
+
+    @pytest.mark.parametrize("losses", [[1.7e308, -1.7e308], [1.7e308, 1.6e308, 1.0]])
+    def test_global_std_raises_without_warnings(self, losses):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceError, match="^losses are too large to summarize"):
+                global_std(make_trace(losses))
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 9),
+        st.lists(st.sampled_from([0.0, 1.0, -3.5, 1e153, -8.26e153, 3e154, 1.7e308, -1e308]), min_size=1, max_size=40),
+    )
+    def test_streaming_raises_at_the_window_batch_refuses(self, window, losses):
+        # the first prefix that batch refuses ends at the first window that overflows
+        window = min(window, len(losses))
+        first = None
+        for end in range(window, len(losses) + 1):
+            try:
+                window_stats(make_trace(losses[:end]), window)
+            except TraceError:
+                first = end
+                break
+        stream = stream_stds(losses, window)
+        raised = [window + i for i, std in enumerate(stream) if std is TraceError]
+        assert (raised[0] if raised else None) == first
+
+    def test_a_transition_ratio_that_overflows_is_named(self):
+        trace = make_trace([5e-324, 1.0], stages=[1, 2])
+        with pytest.raises(TraceError, match="^the stage 1->2 transition ratio overflows float64$"):
+            stability_summary(trace, 1)

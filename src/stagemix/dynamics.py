@@ -372,20 +372,25 @@ class TransitionReport:
 
 
 def _transition_report(trace: LossTrace) -> TransitionReport:
-    """Every stage boundary of a multi-stage trace, an undefined ratio as None."""
+    """Every stage boundary of a trace, an undefined ratio as None; a ratio that
+    overflows float64 raises TraceError."""
     transitions = []
     for i in np.flatnonzero(np.diff(trace.stages) != 0):
         before = float(trace.losses[i])
         after = float(trace.losses[i + 1])
+        stage, next_stage = int(trace.stages[i]), int(trace.stages[i + 1])
+        ratio = None if before == 0.0 else (after - before) / before
+        if ratio is not None and not math.isfinite(ratio):
+            raise TraceError(f"the stage {stage}->{next_stage} transition ratio overflows float64")
         transitions.append(
             Transition(
-                from_stage=int(trace.stages[i]),
-                to_stage=int(trace.stages[i + 1]),
+                from_stage=stage,
+                to_stage=next_stage,
                 step_before=int(trace.steps[i]),
                 step_after=int(trace.steps[i + 1]),
                 loss_before=before,
                 loss_after=after,
-                ratio=None if before == 0.0 else (after - before) / before,
+                ratio=ratio,
             )
         )
     return TransitionReport(transitions=tuple(transitions))
@@ -398,7 +403,8 @@ def stage_transition_ratio(trace: LossTrace) -> TransitionReport:
     and the first logged record of the later one, so sparse logging widens the
     measurement gap rather than inventing values. A boundary whose earlier
     loss is 0 has no ratio and raises ValueError here; stability_summary
-    reports it with ratio None instead.
+    reports it with ratio None instead. A ratio that overflows float64
+    raises TraceError in both.
     """
     report = _transition_report(trace)
     if not report.transitions:
@@ -495,9 +501,6 @@ def stability_summary(
     spike_stats = fluctuation_stats if spike_window == window else window_stats(trace, spike_window)
     spikes = _spike_report(trace, spike_stats)
     report = _transition_report(trace)
-    for t in report.transitions:
-        if t.ratio is not None and not math.isfinite(t.ratio):
-            raise TraceError(f"the stage {t.from_stage}->{t.to_stage} transition ratio overflows float64")
     return StabilitySummary(
         window=window,
         spike_window=spike_window,

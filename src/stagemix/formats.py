@@ -478,11 +478,16 @@ def _check_manifest_header(path, header) -> dict[int, int]:
 
 
 def read_manifest_header(path) -> dict:
+    """The header of a manifest, its first non-blank line as read_manifest takes it,
+    read without the events after it."""
     with open(path, "rb") as handle:
-        first = _lines(_decode(path, handle.readline()))
-    header = _parse(path, first[0] if first else "", line=1)
-    _check_manifest_header(path, header)
-    return header
+        lines = (line for chunk in handle for line in _lines(_decode(path, chunk)))  # chunks end at \n
+        for number, line in enumerate(lines, 1):
+            if line.strip():
+                header = _parse(path, line, number)
+                _check_manifest_header(path, header)
+                return header
+    raise FormatError(f"{path}: empty file, expected a manifest header line")
 
 
 def read_manifest(path) -> Manifest:

@@ -21,10 +21,13 @@ from decimal import Decimal, InvalidOperation
 from . import fields
 from .errors import EvalDataError
 
-TASKS = ("General-Val", "AI2D", "ChartQA", "TextVQA", "DocVQA")
-GENERAL_TASK = "General-Val"
-REASONING_TASKS = ("AI2D", "ChartQA")
-DETAIL_TASKS = ("TextVQA", "DocVQA")
+# The task -> composite partition: each composite averages its tasks.
+COMPOSITE_TASKS = {
+    "general": ("General-Val",),
+    "reasoning": ("AI2D", "ChartQA"),
+    "detail": ("TextVQA", "DocVQA"),
+}
+TASKS = tuple(task for tasks in COMPOSITE_TASKS.values() for task in tasks)
 
 COMPARISON_COLUMNS = (
     "General-Val",
@@ -100,15 +103,15 @@ def _checked_scores(scores) -> dict[str, Decimal]:
 def aggregate(scores) -> AggregateScores:
     """Composite scores for one complete snapshot (a task -> score mapping)."""
     checked = _checked_scores(scores)
-    reasoning = sum(checked[t] for t in REASONING_TASKS) / 2
-    detail = sum(checked[t] for t in DETAIL_TASKS) / 2
-    overall = sum(checked[t] for t in TASKS) / 5
-    return AggregateScores(
-        general=checked[GENERAL_TASK],
-        reasoning=reasoning,
-        detail=detail,
-        overall=overall,
-    )
+    composites = {name: _mean(checked, tasks) for name, tasks in COMPOSITE_TASKS.items()}
+    return AggregateScores(**composites, overall=_mean(checked, TASKS))
+
+
+def _mean(checked: dict[str, Decimal], tasks) -> Decimal:
+    """The exact mean of some tasks' scores; one task's mean is its score, as written."""
+    if len(tasks) == 1:
+        return checked[tasks[0]]
+    return sum(checked[t] for t in tasks) / len(tasks)
 
 
 @dataclass(frozen=True)

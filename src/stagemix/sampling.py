@@ -185,14 +185,17 @@ class Manifest:
         }
 
     def events(self) -> Iterator[ManifestEvent]:
-        names = self.dataset_names
-        for i in range(len(self.steps)):
-            yield ManifestEvent(
-                int(self.steps[i]),
-                int(self.stages[i]),
-                names[self.dataset_ids[i]],
-                int(self.instances[i]),
+        for lo in range(0, len(self), ManifestSampler._CHUNK):
+            cut = slice(lo, lo + ManifestSampler._CHUNK)
+            yield from _as_events(
+                self.dataset_names, self.steps[cut], self.stages[cut], self.dataset_ids[cut], self.instances[cut]
             )
+
+
+def _as_events(names, steps, stages, dataset_ids, instances) -> list[ManifestEvent]:
+    """The events of equal-length event columns, each column converted by one tolist."""
+    datasets = map(names.__getitem__, dataset_ids.tolist())
+    return list(map(ManifestEvent, steps.tolist(), stages.tolist(), datasets, instances.tolist()))
 
 
 def generate_manifest(cond: ScheduleCondition, registry, seed: int) -> Manifest:
@@ -301,11 +304,8 @@ class ManifestSampler:
         )
 
     def _events(self, count: int) -> list[ManifestEvent]:
-        start = self._step
-        stages, gids, instances = self._draw(count)
-        datasets = map(self._names.__getitem__, gids.tolist())
-        steps = range(start, start + count)
-        return list(map(ManifestEvent, steps, stages.tolist(), datasets, instances.tolist()))
+        steps = np.arange(self._step, self._step + count, dtype=np.int64)
+        return _as_events(self._names, steps, *self._draw(count))
 
     def _exhausted(self) -> ValueError:
         return ValueError(f"sampler exhausted: the schedule has {self._total} steps")

@@ -285,13 +285,19 @@ def _require_valid(cond: ScheduleCondition, registry) -> None:
         raise InvalidScheduleError(found)
 
 
-def _exposure_row(cond: ScheduleCondition, registry, datasets) -> ExposureRow:
+def _exposure_row(cond: ScheduleCondition, registry, datasets, done: int | None = None) -> ExposureRow:
+    """Exposure after the first `done` training steps (all of them by default): per
+    dataset summed over stages in order, then per group over `datasets` in their order."""
+    done = cond.total_steps() if done is None else done
     per_dataset = {name: 0.0 for name in datasets}
+    start = 0
     for stage in cond.stages:
+        steps = min(max(done - start, 0), stage.steps)
+        start += stage.steps
         if stage.index < 2:
             continue
         for name, prob in stage.distribution.items():
-            per_dataset[name] = per_dataset.get(name, 0.0) + stage.steps * prob
+            per_dataset[name] = per_dataset.get(name, 0.0) + steps * prob
     per_group: dict[str, float] = {}
     if registry is not None:
         group_of = {src.name: src.group for src in registry}

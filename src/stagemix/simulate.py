@@ -5,22 +5,29 @@ deterministic computations, but real training logs come with no answer key.
 These simulators produce logs that do: loss traces whose spikes sit at known
 steps and whose transition ratios follow from a closed-form noiseless curve,
 and evaluation logs whose final scores are computable in closed form from a
-condition's exposure.
+condition's exposure. The answer key goes through the analytics' own rules,
+so it is what those rules report on a noiseless run.
 
 Loss model: within stage s starting at global step t0, the noiseless loss is
 amplitude * exp(-(t - t0) / tau). Gaussian noise is per-stage; an injected
 spike adds multiplier * noise-scale at one logged step (multiplier * 1.0 when
 the stage is noiseless, so injections survive noise = 0). Noisy losses clamp
-at 0.
+at 0. The true transitions are the noiseless log's, by the rule `analyze`
+applies: a boundary whose noiseless loss before it is 0 has ratio None, and
+a spec whose noiseless ratio overflows float64 is refused with TraceError.
 
 Capability model: each capability group grows toward a ceiling with
 exponential saturation in accumulated post-alignment exposure,
 g = baseline + (ceiling - baseline) * (1 - exp(-x / scale)), where x is the
-weighted sum of per-group exposures accrued so far. Tasks report their
-group's capability quantized to one decimal plus a fixed task offset; this
-keeps noiseless runs exactly predictable. Finals depend only on total
-exposure, so schedules that permute the same stage budgets (curriculum vs
-reverse curriculum) end at identical scores while their trajectories differ.
+weighted sum of per-group exposures accrued so far. Exposure is summed as the
+exposure report sums it (per dataset over stages, then per group over
+datasets in name order), so the final exposure equals `compare_exposure`'s
+per-group row bit for bit. Each task reports its composite's capability (the
+partition in metrics.COMPOSITE_TASKS) quantized to one decimal plus a fixed
+task offset; this keeps noiseless runs exactly predictable. Finals depend
+only on total exposure, so schedules that swap two post-alignment stages
+(curriculum vs reverse curriculum) end at identical scores while their
+trajectories differ.
 """
 
 from __future__ import annotations
@@ -31,11 +38,11 @@ from decimal import Decimal
 import numpy as np
 
 from . import fields
-from .dynamics import LossTrace, Transition, stage_transition_ratio
+from .dynamics import LossTrace, Transition, _transition_report
 from .errors import ValidationError
-from .metrics import EvalSnapshot
+from .metrics import COMPOSITE_TASKS, EvalSnapshot
 from .rounding import round_half_away
-from .schedule import GROUPS, ScheduleCondition, _require_valid, builtin_registry
+from .schedule import GROUPS, ScheduleCondition, _exposure_row, _require_valid, builtin_registry
 
 TASK_OFFSETS = {
     "General-Val": Decimal("0.0"),
@@ -43,14 +50,6 @@ TASK_OFFSETS = {
     "ChartQA": Decimal("-1.0"),
     "TextVQA": Decimal("0.5"),
     "DocVQA": Decimal("-0.5"),
-}
-
-TASK_GROUPS = {
-    "General-Val": "general",
-    "AI2D": "reasoning",
-    "ChartQA": "reasoning",
-    "TextVQA": "detail",
-    "DocVQA": "detail",
 }
 
 DEFAULT_WEIGHTS = {
@@ -163,15 +162,11 @@ def synth_loss(spec: LossTraceSpec, seed: int | None = None) -> SynthLoss:
     trace = LossTrace(steps=logged, stages=stage_of[logged], losses=noisy[logged])
     trace.validate()
     clean = LossTrace(steps=logged, stages=stage_of[logged], losses=noiseless[logged])
-    if len(spec.stages) > 1:
-        truth = stage_transition_ratio(clean).transitions
-    else:
-        truth = ()
     return SynthLoss(
         trace=trace,
         noiseless=clean,
         injected_steps=tuple(sorted(inj.step for inj in spec.injections)),
-        true_transitions=truth,
+        true_transitions=_transition_report(clean).transitions,
     )
 
 
@@ -200,29 +195,15 @@ def _check_capability_spec(model: CapabilityModelSpec) -> None:
     if model.scale == 0:
         raise ValidationError("scale must be positive, got 0")
     for group, alphas in model.weights.items():
-        if group not in TASK_GROUPS.values():
+        if group not in COMPOSITE_TASKS:
             raise ValidationError(f"unknown capability group {group!r} in weights")
         for exposure_group, alpha in alphas.items():
             if exposure_group not in GROUPS:
                 raise ValidationError(f"unknown exposure group {exposure_group!r} in weights")
             fields.check(alpha, f"weight of {exposure_group!r} for {group!r}", float, ValidationError, non_negative=True)
-    for group in set(TASK_GROUPS.values()):
+    for group in COMPOSITE_TASKS:
         if group not in model.weights:
             raise ValidationError(f"weights are missing capability group {group!r}")
-
-
-def _group_exposure_at(cond: ScheduleCondition, group_of: dict[str, str], done: int) -> dict[str, float]:
-    """Per-group expected exposure after `done` completed training steps."""
-    exposure = {group: 0.0 for group in GROUPS}
-    start = 0
-    for stage in cond.stages:
-        overlap = min(max(done - start, 0), stage.steps)
-        start += stage.steps
-        if stage.index < 2 or overlap == 0:
-            continue
-        for name, prob in stage.distribution.items():
-            exposure[group_of[name]] += overlap * prob
-    return exposure
 
 
 def _group_capability(model: CapabilityModelSpec, exposure: dict[str, float]) -> dict[str, float]:
@@ -262,7 +243,7 @@ def synth_capability(
     if registry is None:
         registry = builtin_registry()
     _require_valid(cond, registry)
-    group_of = {src.name: src.group for src in registry}
+    names = sorted(src.name for src in registry)
     total = cond.total_steps()
     if total < 1:
         raise ValidationError("condition has no training steps to simulate")
@@ -271,19 +252,18 @@ def synth_capability(
     rng = np.random.default_rng(seed)
     snapshots = []
     for done in eval_points:
-        capability = _group_capability(model, _group_exposure_at(cond, group_of, done))
+        exposure = _exposure_row(cond, registry, names, done).per_group
+        capability = _group_capability(model, exposure)
         scores = {}
-        for task, group in TASK_GROUPS.items():
-            eps = float(rng.normal(0.0, model.noise)) if model.noise > 0 else 0.0
-            scores[task] = _task_score(model, capability[group], task, eps)
+        for group, tasks in COMPOSITE_TASKS.items():
+            for task in tasks:
+                eps = float(rng.normal(0.0, model.noise)) if model.noise > 0 else 0.0
+                scores[task] = _task_score(model, capability[group], task, eps)
         snapshots.append(EvalSnapshot(step=done, scores=scores))
-    final_capability = _group_capability(model, _group_exposure_at(cond, group_of, total))
+    # The loop ends at the final step: its exposure and capability are the finals.
     final_truth = {
-        task: _task_score(model, final_capability[group], task, 0.0)
-        for task, group in TASK_GROUPS.items()
+        task: _task_score(model, capability[group], task, 0.0)
+        for group, tasks in COMPOSITE_TASKS.items()
+        for task in tasks
     }
-    return SynthCapability(
-        snapshots=tuple(snapshots),
-        final_truth=final_truth,
-        final_exposure=_group_exposure_at(cond, group_of, total),
-    )
+    return SynthCapability(snapshots=tuple(snapshots), final_truth=final_truth, final_exposure=exposure)

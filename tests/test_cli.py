@@ -42,6 +42,15 @@ def stagemix_process(*argv, module="stagemix"):
     )
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -370,6 +379,34 @@ class TestSimulate:
         assert code == 0
         assert "wrote 400 loss records" in stdout
         assert json.loads(truth.read_text())["injected_steps"] == [200]
+
+    def test_loss_truth_ratio_is_null_where_analyze_reports_none(self, tmp_path, capsys):
+        # the noiseless curve of stage 1 decays to exactly 0 before the boundary
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"stages": [
+            {"index": 1, "steps": 2000, "amplitude": 1.0, "tau": 1.0},
+            {"index": 2, "steps": 100, "amplitude": 1.0, "tau": 50.0},
+        ]}))
+        log, truth = tmp_path / "loss.jsonl", tmp_path / "truth.json"
+        code, _, err = cli(capsys, "simulate", "loss", "--spec", str(spec), "--out", str(log), "--truth", str(truth))
+        assert (code, err) == (0, "")
+        true = strict_json(truth.read_text())["true_transitions"]
+        assert true == [{"from_stage": 1, "to_stage": 2, "ratio": None}]
+        code, out, err = cli(capsys, "analyze", "--trace", str(log), "--format", "data")
+        assert (code, err) == (0, "")
+        measured = json.loads(out)["transitions"]
+        assert [{key: t[key] for key in ("from_stage", "to_stage", "ratio")} for t in measured] == true
+
+    def test_loss_refuses_a_truth_ratio_that_overflows(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"stages": [
+            {"index": 1, "steps": 1, "amplitude": 5e-324, "tau": 1.0},
+            {"index": 2, "steps": 3, "amplitude": 1.0, "tau": 1.0},
+        ]}))
+        out, truth = tmp_path / "loss.jsonl", tmp_path / "truth.json"
+        code, stdout, err = cli(capsys, "simulate", "loss", "--spec", str(spec), "--out", str(out), "--truth", str(truth))
+        assert (code, stdout, err) == (1, "", "error: the stage 1->2 transition ratio overflows float64\n")
+        assert sorted(tmp_path.iterdir()) == [spec]
 
     def test_loss_rerun_is_byte_identical(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

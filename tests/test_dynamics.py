@@ -551,3 +551,8 @@ class TestOverflowRule:
         trace = make_trace([5e-324, 1.0], stages=[1, 2])
         with pytest.raises(TraceError, match="^the stage 1->2 transition ratio overflows float64$"):
             stability_summary(trace, 1)
+
+    def test_the_library_ratio_refuses_overflow_by_the_same_rule(self):
+        trace = make_trace([5e-324, 1.0], stages=[1, 2])
+        with pytest.raises(TraceError, match="^the stage 1->2 transition ratio overflows float64$"):
+            stage_transition_ratio(trace)

@@ -121,6 +121,17 @@ class TestLineRule:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 3 is not valid JSON"):
             load_loss_trace(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_the_manifest_header_is_the_first_non_blank_line(self, tmp_path, end):
+        manifest, path = spaced_manifest(tmp_path, "-")
+        formats.write_manifest(manifest, path)
+        path.write_bytes(end.encode() + path.read_bytes().replace(b"\n", end.encode()))
+        assert read_manifest_header(path) == read_manifest(path).header() == manifest.header()
+        path.write_bytes((end + " " + end).encode())
+        for read in (read_manifest, read_manifest_header):
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: empty file, expected a manifest header line$"):
+                read(path)
+
     def test_a_header_line_holding_a_carriage_return_is_two_lines(self, tmp_path):
         manifest, path = spaced_manifest(tmp_path, "-")
         formats.write_manifest(manifest, path)

@@ -86,6 +86,12 @@ class TestAggregation:
         assert fmt_fixed(-1.7976931348623157e308, 1) == "-17976931348623157" + "0" * 292 + ".0"
         assert fmt_percent(Decimal("3e30")) == "3" + "0" * 32 + ".00%"
 
+    @pytest.mark.parametrize("score", ["1e1", "-0.0"])
+    def test_the_one_task_general_composite_is_the_score_as_written(self, score):
+        scores = {task: "50.0" for task in TASKS}
+        scores["General-Val"] = score
+        assert str(aggregate(scores).general) == str(Decimal(score))
+
     def test_missing_task_is_not_aggregable(self):
         partial = dict(FINAL_SCORES["A"])
         del partial["DocVQA"]

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,10 @@ from stagemix import (
     registry_digest,
     validate_condition,
 )
+from stagemix import schedule
 from stagemix.schedule import condition_as_dict, condition_from_dict
+
+PACKAGE = Path(schedule.__file__).parent
 
 
 @pytest.fixture
@@ -328,3 +333,21 @@ class TestRegistryDigest:
     def test_digest_format(self, registry):
         digest = registry_digest(registry)
         assert digest.startswith("sha256:") and len(digest) == len("sha256:") + 64
+
+
+def _distribution_item_loops(tree):
+    """Lines that call .items() on a stage's distribution."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "items":
+            if getattr(node.func.value, "attr", None) == "distribution":
+                yield node.lineno
+
+
+def test_only_the_schedule_module_weights_stage_distributions():
+    """One exposure sum: no other module walks a stage's probabilities to add up exposure its own way."""
+    found = {
+        path.name: list(_distribution_item_loops(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("schedule.py"), "the detector no longer finds the sum it guards"
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -2,6 +2,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stagemix import (
     CapabilityModelSpec,
@@ -11,6 +13,8 @@ from stagemix import (
     TASKS,
     ValidationError,
     builtin_condition,
+    builtin_registry,
+    compare_exposure,
     detect_spikes,
     spike_frequency,
     stage_transition_ratio,
@@ -197,6 +201,17 @@ class TestCapabilitySimulator:
         mids_b = [s.scores for s in run_b.snapshots[:-1]]
         mids_d = [s.scores for s in run_d.snapshots[:-1]]
         assert mids_b != mids_d
+
+    @given(st.integers(0, 10**6), st.integers(1, 10**7))
+    @example(221, 442622)
+    def test_final_exposure_is_the_exposure_report_bit_for_bit(self, alignment, budget):
+        # curriculum and its reverse give both post-alignment stages the same budget
+        b, d = (builtin_condition(c, (alignment, budget, budget)) for c in "BD")
+        final_only = CapabilityModelSpec(eval_interval=10**12)
+        finals = [synth_capability(c, final_only).final_exposure for c in (b, d)]
+        report = compare_exposure([b], builtin_registry()).rows[0].per_group
+        as_bits = [{group: value.hex() for group, value in exposure.items()} for exposure in (*finals, report)]
+        assert as_bits[0] == as_bits[1] == as_bits[2]
 
     def test_noiseless_overall_never_decreases(self):
         cond = builtin_condition("B", (100, 800, 800))

@@ -40,7 +40,7 @@ def _parse_steps(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_condition_args(parser, multi: bool) -> None:
+def _add_condition_args(parser) -> None:
     parser.add_argument(
         "--schedule",
         metavar="FILE",
@@ -48,13 +48,12 @@ def _add_condition_args(parser, multi: bool) -> None:
     )
     parser.add_argument(
         "--condition",
-        action="append" if multi else "store",
+        action="append",
         metavar="ID",
         help=(
             "condition id; with --schedule selects from the file, otherwise one of "
             + "/".join(BUILTIN_CONDITION_IDS)
-            + " built from --steps"
-            + (" (repeatable)" if multi else "")
+            + " built from --steps (repeatable)"
         ),
     )
     parser.add_argument(
@@ -83,8 +82,6 @@ def _add_output_args(parser) -> None:
 def _resolve_conditions(args):
     registry = formats.load_registry(args.registry) if args.registry else builtin_registry()
     wanted = args.condition
-    if isinstance(wanted, str):
-        wanted = [wanted]
     if args.schedule:
         conds = formats.load_conditions(args.schedule)
         if wanted:
@@ -268,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("validate", help="check schedule conditions against the documented rules")
-    _add_condition_args(p, multi=True)
+    _add_condition_args(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("exposure", help="expected-exposure table and cross-condition deviations")
-    _add_condition_args(p, multi=True)
+    _add_condition_args(p)
     p.add_argument(
         "--warn-threshold",
         type=float,
@@ -284,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exposure)
 
     p = sub.add_parser("manifest", help="write the deterministic sample manifest for one condition")
-    _add_condition_args(p, multi=False)
+    _add_condition_args(p)
     p.add_argument(
         "--seed",
         type=int,
@@ -370,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate_loss)
 
     p = ssub.add_parser("capability", help="simulate an eval log for one condition")
-    _add_condition_args(p, multi=False)
+    _add_condition_args(p)
     p.add_argument("--spec", metavar="FILE", help="capability model spec JSON (default: built-in model)")
     p.add_argument(
         "--seed",

@@ -32,7 +32,7 @@ merely close. `_window_mean_std`, the direct two-pass formula, serves
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -354,21 +354,7 @@ class TransitionReport:
         return max((abs(t.ratio) for t in self.transitions if t.ratio is not None), default=None)
 
     def as_dict(self) -> dict:
-        return {
-            "transitions": [
-                {
-                    "from_stage": t.from_stage,
-                    "to_stage": t.to_stage,
-                    "step_before": t.step_before,
-                    "step_after": t.step_after,
-                    "loss_before": t.loss_before,
-                    "loss_after": t.loss_after,
-                    "ratio": t.ratio,
-                }
-                for t in self.transitions
-            ],
-            "max_abs_ratio": self.max_abs_ratio(),
-        }
+        return {"transitions": [asdict(t) for t in self.transitions], "max_abs_ratio": self.max_abs_ratio()}
 
 
 def _transition_report(trace: LossTrace) -> TransitionReport:
@@ -428,12 +414,7 @@ class GapReport:
         return self.irregular_count == 0
 
     def as_dict(self) -> dict:
-        return {
-            "modal_spacing": self.modal_spacing,
-            "max_spacing": self.max_spacing,
-            "irregular_count": self.irregular_count,
-            "regular": self.regular,
-        }
+        return {**asdict(self), "regular": self.regular}
 
 
 def gap_report(trace: LossTrace) -> GapReport:
@@ -474,7 +455,7 @@ class StabilitySummary:
             "windows_tested": self.n_windows,
             "spikes": self.n_spikes,
             "transition_stability": self.transition_stability,
-            "transitions": TransitionReport(self.transitions).as_dict()["transitions"],
+            "transitions": [asdict(t) for t in self.transitions],
             "gaps": self.gaps.as_dict(),
         }
 

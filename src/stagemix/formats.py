@@ -34,7 +34,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import fields
 from .dynamics import LossTrace
 from .errors import EvalDataError, FormatError, TraceError
-from .metrics import COMPARISON_COLUMNS, AggregateScores, ComparisonTable, EvalSnapshot, TrajectoryPoint, to_score
+from .metrics import (
+    COMPARISON_COLUMNS,
+    TRAJECTORY_COLUMNS,
+    AggregateScores,
+    ComparisonTable,
+    EvalSnapshot,
+    TrajectoryPoint,
+    to_score,
+)
 from .sampling import MANIFEST_FORMAT, Manifest
 from .schedule import (
     DatasetSource,
@@ -480,14 +488,33 @@ def _check_manifest_header(path, header) -> dict[int, int]:
 def read_manifest_header(path) -> dict:
     """The header of a manifest, its first non-blank line as read_manifest takes it,
     read without the events after it."""
-    with open(path, "rb") as handle:
-        lines = (line for chunk in handle for line in _lines(_decode(path, chunk)))  # chunks end at \n
-        for number, line in enumerate(lines, 1):
-            if line.strip():
-                header = _parse(path, line, number)
-                _check_manifest_header(path, header)
-                return header
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:  # lines end at \n, \r\n or \r, as in _lines
+            for number, line in enumerate(handle, 1):
+                if line.strip():
+                    header = _parse(path, line, number)
+                    _check_manifest_header(path, header)
+                    return header
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
     raise FormatError(f"{path}: empty file, expected a manifest header line")
+
+
+def _check_manifest_events(path, stage_steps: dict[int, int], steps: np.ndarray, stages: np.ndarray) -> None:
+    """Refuse events that break the header: steps 0..N-1, each stage's stage_steps of them in
+    index order. Checked in slices, so no temporary is as long as the file."""
+    total = sum(stage_steps.values())
+    if len(steps) != total:
+        raise FormatError(f"{path}: manifest has {len(steps)} events, its header declares {total}")
+    start = 0
+    for stage, count in sorted(stage_steps.items()):
+        if not (stages[start : start + count] == stage).all():
+            raise FormatError(f"{path}: manifest events {start}..{start + count - 1} are not all of stage {stage}")
+        start += count
+    for start in range(0, total, _BLOCK_ROWS):
+        block = steps[start : start + _BLOCK_ROWS]
+        if not (block == np.arange(start, start + len(block))).all():
+            raise FormatError(f"{path}: manifest event steps are not 0..{total - 1} in order")
 
 
 def read_manifest(path) -> Manifest:
@@ -508,6 +535,7 @@ def read_manifest(path) -> Manifest:
     stage_steps = _check_manifest_header(path, header)
     if columns is None:
         columns = _object_columns(path, lines, objects, EVENT_COLUMNS, first=1)
+    _check_manifest_events(path, stage_steps, columns["step"], columns["stage"])
     names, dataset_ids = columns["dataset"]
     return Manifest(
         condition_id=header["condition"],
@@ -672,16 +700,11 @@ def read_comparison_csv(path) -> list[tuple[str, dict[str, Decimal]]]:
     return _csv_table(path, "comparison", ("condition", *COMPARISON_COLUMNS), parse_row)
 
 
-TRAJECTORY_COLUMNS = ("step", "general", "reasoning", "detail", "overall")
-
-
 def write_trajectory_csv(points, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for point in points:
-            s = point.scores
-            writer.writerow([point.step, str(s.general), str(s.reasoning), str(s.detail), str(s.overall)])
+        writer.writerows([point.step, *point.scores.as_dict().values()] for point in points)
 
 
 def read_trajectory_csv(path) -> list[TrajectoryPoint]:

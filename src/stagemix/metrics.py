@@ -15,7 +15,8 @@ and DocVQA, and overall averages all five tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from dataclasses import fields as dataclass_fields
 from decimal import Decimal, InvalidOperation
 
 from . import fields
@@ -78,12 +79,11 @@ class AggregateScores:
     overall: Decimal
 
     def as_dict(self) -> dict:
-        return {
-            "general": str(self.general),
-            "reasoning": str(self.reasoning),
-            "detail": str(self.detail),
-            "overall": str(self.overall),
-        }
+        return {name: str(score) for name, score in asdict(self).items()}
+
+
+# The trajectory table's columns, in its text and CSV forms: the step, then the composites.
+TRAJECTORY_COLUMNS = ("step", *(f.name for f in dataclass_fields(AggregateScores)))
 
 
 def _checked_scores(scores) -> dict[str, Decimal]:

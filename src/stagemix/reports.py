@@ -9,8 +9,10 @@ stability two); exact values stay available through each report's as_dict.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 from .dynamics import StabilitySummary
-from .metrics import ComparisonTable, TrajectoryPoint
+from .metrics import TRAJECTORY_COLUMNS, ComparisonTable, TrajectoryPoint
 from .rounding import fmt_fixed, fmt_percent
 from .schedule import ExposureReport, ValidationResult
 
@@ -159,15 +161,5 @@ def render_aggregate(step: int, scores) -> str:
 
 
 def render_trajectory(points: list[TrajectoryPoint]) -> str:
-    headers = ["step", "general", "reasoning", "detail", "overall"]
-    rows = [
-        [
-            str(p.step),
-            fmt_fixed(p.scores.general, 1),
-            fmt_fixed(p.scores.reasoning, 1),
-            fmt_fixed(p.scores.detail, 1),
-            fmt_fixed(p.scores.overall, 1),
-        ]
-        for p in points
-    ]
-    return _table(headers, rows)
+    rows = [[str(p.step), *(fmt_fixed(score, 1) for score in astuple(p.scores))] for p in points]
+    return _table(TRAJECTORY_COLUMNS, rows)

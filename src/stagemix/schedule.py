@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import fields
 from .errors import FormatError, InvalidScheduleError
@@ -35,13 +35,6 @@ ALIGNMENT_GROUP = "D0-alignment"
 PROB_SUM_TOL = 1e-9
 
 BUILTIN_CONDITION_IDS = ("A", "B", "C", "D")
-
-BUILTIN_CONDITION_LABELS = {
-    "A": "direct mixture",
-    "B": "curriculum",
-    "C": "balanced sampling",
-    "D": "reverse curriculum",
-}
 
 # The alignment pool ships 558k image-text pairs; the other pools have no
 # single published count, so the built-in registry uses a nominal size that
@@ -147,14 +140,8 @@ def builtin_condition(cond_id: str, steps) -> ScheduleCondition:
 
 def registry_digest(registry) -> str:
     """Content digest binding a registry, as written into manifest headers."""
-    canonical = json.dumps(
-        [
-            {"name": src.name, "group": src.group, "size": src.size}
-            for src in sorted(registry, key=lambda src: src.name)
-        ],
-        separators=(",", ":"),
-        sort_keys=True,
-    )
+    entries = registry_as_list(sorted(registry, key=lambda src: src.name))
+    canonical = json.dumps(entries, separators=(",", ":"), sort_keys=True)
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -369,13 +356,7 @@ def compute_exposure(cond: ScheduleCondition, registry=None, warn_threshold: flo
 
 
 def condition_as_dict(cond: ScheduleCondition) -> dict:
-    return {
-        "id": cond.id,
-        "stages": [
-            {"index": s.index, "steps": s.steps, "distribution": dict(s.distribution)}
-            for s in cond.stages
-        ],
-    }
+    return {"id": cond.id, "stages": [asdict(stage) for stage in cond.stages]}
 
 
 def condition_from_dict(data) -> ScheduleCondition:
@@ -395,7 +376,7 @@ def condition_from_dict(data) -> ScheduleCondition:
 
 
 def registry_as_list(registry) -> list[dict]:
-    return [{"name": src.name, "group": src.group, "size": src.size} for src in registry]
+    return [asdict(src) for src in registry]
 
 
 def registry_from_list(data) -> tuple[DatasetSource, ...]:

@@ -218,6 +218,19 @@ class TestManifest:
         assert "exactly one condition" in err
 
 
+    @pytest.mark.parametrize("source", [(), ("--schedule", "{schedule}")], ids=["builtin", "schedule"])
+    def test_a_repeated_condition_is_refused(self, schedule_file, tmp_path, capsys, source):
+        out = tmp_path / "m.jsonl"
+        source = [schedule_file if arg == "{schedule}" else arg for arg in source]
+        code, stdout, err = cli(
+            capsys, "manifest", *source, "--condition", "A", "--condition", "B", "--steps", "100,450,450",
+            "--seed", "1", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == "error: manifest generation needs exactly one condition, got 2; pick one with --condition\n"
+        assert not out.exists()
+
+
 class TestAnalyze:
     def test_stability_report(self, loss_log, capsys):
         code, out, _ = cli(capsys, "analyze", "--trace", loss_log)
@@ -457,6 +470,17 @@ class TestSimulate:
         )
         assert code == 2
         assert "seed" in err
+
+
+    def test_capability_refuses_a_repeated_condition(self, tmp_path, capsys):
+        out = tmp_path / "evals.jsonl"
+        code, stdout, err = cli(
+            capsys, "simulate", "capability", "--condition", "A", "--condition", "B", "--steps", "100,450,450",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == "error: capability simulation needs exactly one condition, got 2; pick one with --condition\n"
+        assert not out.exists()
 
 
 class TestHelp:

@@ -996,3 +996,52 @@ class TestSimSpecFiles:
         path.write_text(json.dumps({"model": {"baseline": "high"}}))
         with pytest.raises(FormatError, match="numbers"):
             load_capability_spec(path)
+
+
+class TestManifestIntegrity:
+    """Events must match the header: steps 0..N-1, each stage's stage_steps of them in index order."""
+
+    def manifest_lines(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_manifest(generate_manifest(builtin_condition("A", (2, 3, 3)), builtin_registry(), seed=5), path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["column-reader", "general-reader"])
+    def test_a_truncated_manifest_is_a_parse_error(self, tmp_path, end):
+        path, lines = self.manifest_lines(tmp_path)
+        assert len(read_manifest(path)) == 8
+        path.write_text(end.join(lines[:4]) + end, newline="")
+        with pytest.raises(FormatError, match=f"^{path}: manifest has 3 events, its header declares 8$"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["column-reader", "general-reader"])
+    def test_events_out_of_stage_order_are_a_parse_error(self, tmp_path, end):
+        path, lines = self.manifest_lines(tmp_path)
+        lines[2], lines[3] = lines[3], lines[2]  # step 1 of stage 1 and step 2 of stage 2
+        path.write_text(end.join(lines) + end, newline="")
+        with pytest.raises(FormatError, match=f"^{path}: manifest events 0..1 are not all of stage 1$"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["column-reader", "general-reader"])
+    def test_steps_other_than_0_to_n_are_a_parse_error(self, tmp_path, end):
+        path, lines = self.manifest_lines(tmp_path)
+        assert lines[5].startswith('{"step":4,"stage":2,')
+        lines[5] = lines[5].replace('"step":4,', '"step":9,')
+        path.write_text(end.join(lines) + end, newline="")
+        with pytest.raises(FormatError, match=f"^{path}: manifest event steps are not 0..7 in order$"):
+            read_manifest(path)
+
+    def test_steps_are_checked_past_the_first_block(self, tmp_path):
+        manifest = generate_manifest(SMALL_CONDITION, SMALL_REGISTRY, seed=3)
+        steps = np.arange(_BLOCK_ROWS + 12)
+        steps[_BLOCK_ROWS + 5] += 1
+        long = Manifest(
+            condition_id="toy", seed=3, registry_digest=manifest.registry_digest, generator=manifest.generator,
+            stage_steps={1: 4, 2: _BLOCK_ROWS + 8}, dataset_names=manifest.dataset_names,
+            steps=steps, stages=np.where(steps < 4, 1, 2), dataset_ids=np.zeros(len(steps), dtype=np.int64),
+            instances=np.zeros(len(steps), dtype=np.int64),
+        )
+        path = tmp_path / "run.jsonl"
+        write_manifest(long, path)
+        with pytest.raises(FormatError, match=f"manifest event steps are not 0..{_BLOCK_ROWS + 11} in order$"):
+            read_manifest(path)

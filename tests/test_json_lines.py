@@ -132,6 +132,21 @@ class TestLineRule:
             with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: empty file, expected a manifest header line$"):
                 read(path)
 
+    def test_the_manifest_header_of_a_carriage_return_file_is_read_alone(self, tmp_path):
+        # a byte that is not UTF-8, 2 MB past the header and with no \n before it, is never read
+        manifest, path = spaced_manifest(tmp_path, "-")
+        formats.write_manifest(manifest, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r") + b" " * 2_000_000 + b"\xff\r")
+        assert read_manifest_header(path) == manifest.header()
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read_manifest(path)
+
+    def test_a_manifest_header_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b"\r\r" + b" " * 100_000 + b"\xff\r")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read_manifest_header(path)
+
     def test_a_header_line_holding_a_carriage_return_is_two_lines(self, tmp_path):
         manifest, path = spaced_manifest(tmp_path, "-")
         formats.write_manifest(manifest, path)

@@ -15,7 +15,7 @@ and DocVQA, and overall averages all five tasks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from decimal import Decimal, InvalidOperation
 
@@ -79,7 +79,7 @@ class AggregateScores:
     overall: Decimal
 
     def as_dict(self) -> dict:
-        return {name: str(score) for name, score in asdict(self).items()}
+        return {name: str(score) for name, score in vars(self).items()}  # fields in declaration order
 
 
 # The trajectory table's columns, in its text and CSV forms: the step, then the composites.

@@ -9,8 +9,6 @@ stability two); exact values stay available through each report's as_dict.
 
 from __future__ import annotations
 
-from dataclasses import astuple
-
 from .dynamics import StabilitySummary
 from .metrics import TRAJECTORY_COLUMNS, ComparisonTable, TrajectoryPoint
 from .rounding import fmt_fixed, fmt_percent
@@ -161,5 +159,5 @@ def render_aggregate(step: int, scores) -> str:
 
 
 def render_trajectory(points: list[TrajectoryPoint]) -> str:
-    rows = [[str(p.step), *(fmt_fixed(score, 1) for score in astuple(p.scores))] for p in points]
+    rows = [[str(p.step), *(fmt_fixed(score, 1) for score in vars(p.scores).values())] for p in points]
     return _table(TRAJECTORY_COLUMNS, rows)

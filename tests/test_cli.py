@@ -217,14 +217,12 @@ class TestManifest:
         assert code == 2
         assert "exactly one condition" in err
 
-
-    @pytest.mark.parametrize("source", [(), ("--schedule", "{schedule}")], ids=["builtin", "schedule"])
-    def test_a_repeated_condition_is_refused(self, schedule_file, tmp_path, capsys, source):
+    @pytest.mark.parametrize("with_schedule", [False, True], ids=["builtin", "schedule"])
+    def test_a_repeated_condition_is_refused(self, schedule_file, tmp_path, capsys, with_schedule):
         out = tmp_path / "m.jsonl"
-        source = [schedule_file if arg == "{schedule}" else arg for arg in source]
+        source = ["--schedule", schedule_file] if with_schedule else ["--steps", "100,450,450"]
         code, stdout, err = cli(
-            capsys, "manifest", *source, "--condition", "A", "--condition", "B", "--steps", "100,450,450",
-            "--seed", "1", "--out", str(out),
+            capsys, "manifest", *source, "--condition", "A", "--condition", "B", "--seed", "1", "--out", str(out)
         )
         assert (code, stdout) == (2, "")
         assert err == "error: manifest generation needs exactly one condition, got 2; pick one with --condition\n"
@@ -470,7 +468,6 @@ class TestSimulate:
         )
         assert code == 2
         assert "seed" in err
-
 
     def test_capability_refuses_a_repeated_condition(self, tmp_path, capsys):
         out = tmp_path / "evals.jsonl"

@@ -5,10 +5,11 @@ conditions, `manifest` for deterministic sample manifests, `analyze` for
 loss-curve stability, `metrics` for score aggregation, and `simulate` for
 synthetic runs with known ground truth.
 
-Exit codes: 0 success, 1 validation violations in otherwise well-formed
-input, 2 usage or precondition errors (bad flags, window larger than the
-trace), 3 unreadable or unparseable files. Output is deterministic: the same
-invocation on the same inputs writes the same bytes.
+Exit codes, each carried by its error family (errors.py): 0 success, 1 rule
+violations in well-formed input, 2 usage errors (bad flags, window larger than
+the trace), 3 unreadable or unparseable files; 70 a toolkit bug, out of memory
+included: one `internal error:` line, never a traceback. Output is
+deterministic: the same invocation on the same inputs writes the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import formats, reports
 from .dynamics import DEFAULT_WINDOW, stability_summary
-from .errors import FormatError, ValidationError
+from .errors import StagemixError, UsageError
 from .metrics import aggregate, comparison, convergence_step, trajectory
 from .sampling import generate_manifest
 from .schedule import (
@@ -84,17 +85,23 @@ def _resolve_conditions(args):
     wanted = args.condition
     if args.schedule:
         conds = formats.load_conditions(args.schedule)
-        if wanted:
-            missing = [w for w in wanted if all(c.id != w for c in conds)]
-            if missing:
-                raise ValueError(f"schedule file has no condition {missing[0]!r}")
-            conds = [c for c in conds if c.id in set(wanted)]
-        return conds, registry
+        by_id = {c.id: c for c in reversed(conds)}  # the first condition of each id
+        missing = [w for w in wanted or () if w not in by_id]
+        if missing:
+            raise UsageError(f"schedule file has no condition {missing[0]!r}")
+        return ([by_id[w] for w in wanted] if wanted else conds), registry
     if not wanted:
-        raise ValueError("need --schedule FILE, or --condition with --steps")
+        raise UsageError("need --schedule FILE, or --condition with --steps")
     if not args.steps:
-        raise ValueError("--condition without --schedule needs --steps T1,T2,T3")
+        raise UsageError("--condition without --schedule needs --steps T1,T2,T3")
     return [builtin_condition(w, args.steps) for w in wanted], registry
+
+
+def _one_condition(args, task: str):
+    conds, registry = _resolve_conditions(args)
+    if len(conds) != 1:
+        raise UsageError(f"{task} needs exactly one condition, got {len(conds)}; pick one with --condition")
+    return conds[0], registry
 
 
 def _emit(args, text: str, data) -> None:
@@ -112,7 +119,7 @@ def _emit(args, text: str, data) -> None:
 def _cmd_validate(args) -> int:
     conds, registry = _resolve_conditions(args)
     if not conds:
-        raise ValueError("no conditions to validate")
+        raise UsageError("no conditions to validate")
     failed = False
     for cond in conds:
         result = validate_condition(cond, registry)
@@ -129,12 +136,8 @@ def _cmd_exposure(args) -> int:
 
 
 def _cmd_manifest(args) -> int:
-    conds, registry = _resolve_conditions(args)
-    if len(conds) != 1:
-        raise ValueError(
-            f"manifest generation needs exactly one condition, got {len(conds)}; pick one with --condition"
-        )
-    manifest = generate_manifest(conds[0], registry, args.seed)
+    cond, registry = _one_condition(args, "manifest generation")
+    manifest = generate_manifest(cond, registry, args.seed)
     formats.write_manifest(manifest, args.out)
     print(f"wrote {len(manifest)} events to {args.out}")
     return 0
@@ -149,13 +152,13 @@ def _cmd_analyze(args) -> int:
 
 def _final_snapshot(snapshots, step=None):
     if not snapshots:
-        raise ValueError("eval log has no snapshots")
+        raise UsageError("eval log has no snapshots")
     if step is None:
         return snapshots[-1]
     for snap in snapshots:
         if snap.step == step:
             return snap
-    raise ValueError(f"eval log has no snapshot at step {step}")
+    raise UsageError(f"eval log has no snapshot at step {step}")
 
 
 def _cmd_metrics_aggregate(args) -> int:
@@ -214,36 +217,20 @@ def _cmd_simulate_loss(args) -> int:
     result = synth_loss(spec, seed=args.seed)
     formats.save_loss_trace(result.trace, args.out)
     if args.truth:
-        formats.save_json(
-            {
-                "injected_steps": list(result.injected_steps),
-                "true_transitions": [
-                    {
-                        "from_stage": t.from_stage,
-                        "to_stage": t.to_stage,
-                        "ratio": t.ratio,
-                    }
-                    for t in result.true_transitions
-                ],
-            },
-            args.truth,
-        )
+        truth = [{key: getattr(t, key) for key in ("from_stage", "to_stage", "ratio")} for t in result.true_transitions]
+        formats.save_json({"injected_steps": list(result.injected_steps), "true_transitions": truth}, args.truth)
     print(f"wrote {len(result.trace)} loss records to {args.out}")
     return 0
 
 
 def _cmd_simulate_capability(args) -> int:
-    conds, registry = _resolve_conditions(args)
-    if len(conds) != 1:
-        raise ValueError(
-            f"capability simulation needs exactly one condition, got {len(conds)}; pick one with --condition"
-        )
+    cond, registry = _one_condition(args, "capability simulation")
     if args.spec:
         model, file_seed = formats.load_capability_spec(args.spec)
     else:
         model, file_seed = CapabilityModelSpec(), None
     seed = args.seed if args.seed is not None else file_seed
-    result = synth_capability(conds[0], model, registry=registry, seed=seed)
+    result = synth_capability(cond, model, registry=registry, seed=seed)
     formats.save_eval_log(result.snapshots, args.out)
     if args.truth:
         formats.save_json(
@@ -388,15 +375,14 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except StagemixError as err:
+        message, code = f"error: {err}", err.exit_code
+    except OSError as err:
+        message, code = f"error: {err}", 3
+    except Exception as err:  # a toolkit bug, MemoryError included: one line, never a traceback
+        message, code = f"internal error: {type(err).__name__}: {err}", 70  # sysexits EX_SOFTWARE
+    print(message.replace("\n", " "), file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fields
-from .errors import TraceError
+from .errors import TraceError, UsageError
 
 DEFAULT_WINDOW = 50
 SPIKE_SIGMA = 2.0
@@ -118,7 +118,7 @@ class WindowStats:
 def _check_window(window: int, length: int, name: str = "window") -> int:
     window = fields.check(window, name, low=1)
     if window > length:
-        raise ValueError(f"{name} {window} exceeds the trace length {length}")
+        raise UsageError(f"{name} {window} exceeds the trace length {length}")
     return window
 
 
@@ -388,16 +388,16 @@ def stage_transition_ratio(trace: LossTrace) -> TransitionReport:
     The boundary is measured at the last logged record of the earlier stage
     and the first logged record of the later one, so sparse logging widens the
     measurement gap rather than inventing values. A boundary whose earlier
-    loss is 0 has no ratio and raises ValueError here; stability_summary
+    loss is 0 has no ratio and raises UsageError here; stability_summary
     reports it with ratio None instead. A ratio that overflows float64
     raises TraceError in both.
     """
     report = _transition_report(trace)
     if not report.transitions:
-        raise ValueError("trace has a single stage; there is no transition to measure")
+        raise UsageError("trace has a single stage; there is no transition to measure")
     for t in report.transitions:
         if t.ratio is None:
-            raise ValueError(f"transition ratio undefined: loss at step {t.step_before} is 0")
+            raise UsageError(f"transition ratio undefined: loss at step {t.step_before} is 0")
     return report
 
 

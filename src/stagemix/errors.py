@@ -1,11 +1,11 @@
-"""Exception taxonomy shared across the toolkit.
+"""Exception taxonomy shared across the toolkit; each family carries its exit code.
 
-Three families, matching the CLI exit codes: data that parses but breaks a
-documented rule (ValidationError, exit 1), operation misuse such as a window
-larger than the trace or a bool where an integer belongs (plain ValueError,
-exit 2), and files that cannot be decoded into the expected shape at all,
-such as a JSON field of the wrong type (FormatError, exit 3). `fields` holds
-the one rule for integers and numbers; its callers pick the family.
+Data that parses but breaks a documented rule (ValidationError, exit 1),
+operation misuse such as a window larger than the trace or a bool where an
+integer belongs (UsageError, exit 2, also a ValueError), and files that cannot
+be decoded into the expected shape at all, such as a JSON field of the wrong
+type (FormatError, exit 3). Any other exception is a toolkit bug. `fields`
+holds the one rule for integers and numbers; its callers pick the family.
 """
 
 
@@ -15,6 +15,14 @@ class StagemixError(Exception):
 
 class ValidationError(StagemixError):
     """Well-formed input that violates a documented invariant."""
+
+    exit_code = 1
+
+
+class UsageError(StagemixError, ValueError):
+    """An operation called with arguments it does not accept."""
+
+    exit_code = 2
 
 
 class InvalidScheduleError(ValidationError):
@@ -35,3 +43,5 @@ class EvalDataError(ValidationError):
 
 class FormatError(StagemixError):
     """A file could not be parsed into the documented format."""
+
+    exit_code = 3

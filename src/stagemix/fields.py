@@ -6,12 +6,13 @@ seeds are any non-negative integer). A number is an integer or a float (numpy
 ones too), never a bool, whose float() does not overflow; with `non_negative`
 it is also finite and >= 0. A name is a str, non-empty with `empty=False`.
 `check` returns the plain Python value or raises the error class its caller
-picks; `problem` gives the message alone; `read` takes a JSON object's fields.
+picks (UsageError by default); `problem` gives the message; `read` checks a
+JSON object's fields.
 """
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, UsageError
 
 INT64 = (-(2**63), 2**63)
 
@@ -63,7 +64,7 @@ def problem(value, what: str, kind=int, **bounds) -> str | None:
     return f"{what} must be {noun}, got {shown if len(shown) <= 40 else shown[:37] + '...'}"
 
 
-def check(value, what: str, kind=int, error=ValueError, **bounds):
+def check(value, what: str, kind=int, error=UsageError, **bounds):
     """`value` as a plain `kind`, or `error` with the message of `problem`."""
     message = problem(value, what, kind, **bounds)
     if message is not None:

@@ -420,9 +420,7 @@ def load_conditions(path) -> list[ScheduleCondition]:
     """Read a schedule file: either one condition object or {"conditions": [...]}."""
     data = load_json(path)
     if isinstance(data, dict) and "conditions" in data:
-        raw = data["conditions"]
-        if not isinstance(raw, list):
-            raise FormatError(f"{path}: 'conditions' must be a list")
+        raw = fields.check(data["conditions"], f"{path}: conditions", list, FormatError)
     elif isinstance(data, dict) and "stages" in data:
         raw = [data]
     else:
@@ -472,13 +470,12 @@ def _check_manifest_header(path, header) -> dict[int, int]:
         raise FormatError(
             f"{path}: first line must be a manifest header with format {MANIFEST_FORMAT!r}"
         )
-    for key in ("condition", "seed", "registry_digest", "generator", "stage_steps"):
-        if key not in header:
-            raise FormatError(f"{path}: manifest header is missing {key!r}")
     where = f"{path}: manifest header"
-    fields.check(header["seed"], f"{where} seed", int, FormatError, low=0, high=2**64)
+    kinds = {"condition": str, "registry_digest": str, "generator": str, "stage_steps": dict}
+    declared = fields.read(header, where, kinds)["stage_steps"]
+    fields.check(header.get("seed"), f"{where} seed", int, FormatError, low=0, high=2**64)
     stage_steps = {}
-    for key, steps in fields.check(header["stage_steps"], f"{where} stage_steps", dict, FormatError).items():
+    for key, steps in declared.items():
         if not (key.isascii() and key.isdigit() and key[0] != "0"):
             raise FormatError(f"{where} stage_steps key {key!r} is not a stage index")
         stage_steps[int(key)] = fields.check(steps, f"{where} stage_steps {key}", int, FormatError, low=0)

@@ -20,7 +20,7 @@ from dataclasses import fields as dataclass_fields
 from decimal import Decimal, InvalidOperation
 
 from . import fields
-from .errors import EvalDataError
+from .errors import EvalDataError, UsageError
 
 # The task -> composite partition: each composite averages its tasks.
 COMPOSITE_TASKS = {
@@ -137,9 +137,9 @@ def convergence_step(snapshots, fraction) -> int:
     try:
         frac = Decimal(str(fraction))
     except InvalidOperation:
-        raise ValueError(f"fraction {fraction!r} is not a number") from None
+        raise UsageError(f"fraction {fraction!r} is not a number") from None
     if not frac.is_finite() or frac <= 0 or frac > 1:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
+        raise UsageError(f"fraction must be in (0, 1], got {fraction!r}")
     points = trajectory(snapshots)
     threshold = frac * points[-1].scores.overall
     for point in points:

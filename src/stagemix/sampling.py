@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import fields
-from .errors import FormatError, ValidationError
+from .errors import FormatError, UsageError, ValidationError
 from .schedule import (
     ScheduleCondition,
     _require_valid,
@@ -307,8 +307,8 @@ class ManifestSampler:
         steps = np.arange(self._step, self._step + count, dtype=np.int64)
         return _as_events(self._names, steps, *self._draw(count))
 
-    def _exhausted(self) -> ValueError:
-        return ValueError(f"sampler exhausted: the schedule has {self._total} steps")
+    def _exhausted(self) -> UsageError:
+        return UsageError(f"sampler exhausted: the schedule has {self._total} steps")
 
     def next_event(self) -> ManifestEvent:
         if not self._ahead:
@@ -359,27 +359,24 @@ class ManifestSampler:
                 f"state was produced by generator {generator!r};"
                 f" this build implements {GENERATOR_ID!r}"
             )
-        for field_name in ("seed", "next_step", "draws", "condition", "registry"):
-            if field_name not in state:
-                raise FormatError(f"sampler state is missing {field_name!r}")
-        cond = condition_from_dict(state["condition"])
-        registry = registry_from_list(state["registry"])
+        parts = fields.read(state, "sampler state", {"draws": dict, "condition": dict, "registry": list})
+        cond = condition_from_dict(parts["condition"])
+        registry = registry_from_list(parts["registry"])
         digest = registry_digest(registry)
         recorded = state.get("registry_digest")
         if recorded is not None and recorded != digest:
             raise ValidationError(
                 f"sampler state registry digest {recorded!r} does not match its embedded registry ({digest!r})"
             )
-        seed = fields.check(state["seed"], "sampler state seed", int, FormatError, low=0, high=2**64)
+        seed = fields.check(state.get("seed"), "sampler state seed", int, FormatError, low=0, high=2**64)
         sampler = cls(cond, registry, seed)
-        next_step = fields.check(state["next_step"], "sampler state next_step", int, FormatError, low=0)
+        next_step = fields.check(state.get("next_step"), "sampler state next_step", int, FormatError, low=0)
         if next_step > sampler._total:
             raise ValidationError(
                 f"sampler state next_step {next_step} exceeds the schedule's {sampler._total} steps"
             )
-        draws = fields.check(state["draws"], "sampler state draws", dict, FormatError)
         total_draws = 0
-        for name, count in draws.items():
+        for name, count in parts["draws"].items():
             if name not in sampler._name_to_id:
                 raise ValidationError(f"sampler state counts draws for unknown dataset {name!r}")
             count = fields.check(count, f"sampler state draw count for {name!r}", int, FormatError, low=0)
@@ -401,7 +398,7 @@ def empirical_distribution(manifest: Manifest, stage: int) -> dict[str, float]:
     """
     if stage not in manifest.stage_steps:
         declared = ", ".join(str(s) for s in sorted(manifest.stage_steps))
-        raise ValueError(f"stage {stage} is not part of this manifest (declared stages: {declared})")
+        raise UsageError(f"stage {stage} is not part of this manifest (declared stages: {declared})")
     if manifest.stage_steps[stage] == 0:
         return {}
     mask = manifest.stages == stage

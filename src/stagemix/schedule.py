@@ -25,7 +25,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from . import fields
-from .errors import FormatError, InvalidScheduleError
+from .errors import FormatError, InvalidScheduleError, UsageError
 
 GROUPS = ("D0-alignment", "D1-general", "D2-reasoning", "D3-ocr")
 ALIGNMENT_GROUP = "D0-alignment"
@@ -120,12 +120,12 @@ def builtin_condition(cond_id: str, steps) -> ScheduleCondition:
     distributions, never the budgets.
     """
     if cond_id not in BUILTIN_CONDITION_IDS:
-        raise ValueError(
+        raise UsageError(
             f"unknown built-in condition {cond_id!r}; expected one of {', '.join(BUILTIN_CONDITION_IDS)}"
         )
     steps = tuple(steps)
     if len(steps) != 3:
-        raise ValueError(f"built-in conditions take exactly 3 stage step counts, got {len(steps)}")
+        raise UsageError(f"built-in conditions take exactly 3 stage step counts, got {len(steps)}")
     steps = tuple(fields.check(value, "stage step count", low=0) for value in steps)
     stage2, stage3 = _BUILTIN_POST_STAGES[cond_id]
     return ScheduleCondition(
@@ -316,7 +316,7 @@ def compare_exposure(conds, registry=None, warn_threshold: float = 0.10) -> Expo
     """
     conds = list(conds)
     if not conds:
-        raise ValueError("compare_exposure needs at least one condition")
+        raise UsageError("compare_exposure needs at least one condition")
     warn_threshold = fields.check(warn_threshold, "warn threshold", float, non_negative=True)
     for cond in conds:
         _require_valid(cond, registry)

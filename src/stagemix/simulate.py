@@ -39,7 +39,7 @@ import numpy as np
 
 from . import fields
 from .dynamics import LossTrace, Transition, _transition_report
-from .errors import ValidationError
+from .errors import UsageError, ValidationError
 from .metrics import COMPOSITE_TASKS, EvalSnapshot
 from .rounding import round_half_away
 from .schedule import GROUPS, ScheduleCondition, _exposure_row, _require_valid, builtin_registry
@@ -136,7 +136,7 @@ def synth_loss(spec: LossTraceSpec, seed: int | None = None) -> SynthLoss:
     _check_loss_spec(spec)
     seed = _seed(spec.seed if seed is None else seed)
     if seed is None and any(stage.noise > 0 for stage in spec.stages):
-        raise ValueError("simulating with noise needs an explicit seed")
+        raise UsageError("simulating with noise needs an explicit seed")
     total = spec.total_steps()
     noiseless = np.empty(total, dtype=np.float64)
     stage_of = np.empty(total, dtype=np.int64)
@@ -239,7 +239,7 @@ def synth_capability(
     _check_capability_spec(model)
     seed = _seed(seed)
     if seed is None and model.noise > 0:
-        raise ValueError("simulating with noise needs an explicit seed")
+        raise UsageError("simulating with noise needs an explicit seed")
     if registry is None:
         registry = builtin_registry()
     _require_valid(cond, registry)

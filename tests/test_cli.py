@@ -1,23 +1,37 @@
+import contextlib
+import io
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stagemix
 from stagemix import (
     DatasetSource,
     EvalSnapshot,
+    LossTrace,
     ScheduleCondition,
+    StagemixError,
     StagePlan,
+    UsageError,
     builtin_condition,
+    builtin_registry,
     save_conditions,
     save_eval_log,
+    save_loss_trace,
     save_registry,
 )
+from stagemix import cli as cli_module
 from stagemix.cli import _emit, run
 from fixtures_data import FINAL_SCORES
 
@@ -34,11 +48,12 @@ NOISY_SPEC = {
 }
 
 
-def stagemix_process(*argv, module="stagemix"):
+def stagemix_process(*argv, module="stagemix", preexec_fn=None):
     """Run the CLI in a fresh interpreter, as `python -m MODULE ARGV...`."""
     env = dict(os.environ, PYTHONPATH=str(Path(stagemix.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn,
     )
 
 
@@ -149,6 +164,15 @@ class TestExposure:
         assert "post-alignment budgets: A=900" in out
         assert " B" not in out.splitlines()[1]
 
+    @pytest.mark.parametrize("ids", [("B", "A"), ("A", "A")])
+    def test_schedule_selection_follows_the_flags(self, schedule_file, capsys, ids):
+        """With --schedule as without it: one condition per flag, in flag order, repeats kept."""
+        flags = [arg for cond_id in ids for arg in ("--condition", cond_id)]
+        code, from_file, _ = cli(capsys, "exposure", "--schedule", schedule_file, *flags, "--format", "data")
+        assert code == 0
+        assert [row["condition"] for row in json.loads(from_file)["rows"]] == list(ids)
+        assert cli(capsys, "exposure", *flags, "--steps", "100,450,450", "--format", "data") == (0, from_file, "")
+
     def test_missing_condition_in_file(self, schedule_file, capsys):
         code, _, err = cli(capsys, "exposure", "--schedule", schedule_file, "--condition", "Q")
         assert code == 2
@@ -217,12 +241,14 @@ class TestManifest:
         assert code == 2
         assert "exactly one condition" in err
 
+    @pytest.mark.parametrize("ids", [("A", "B"), ("A", "A")], ids=["A-B", "A-A"])
     @pytest.mark.parametrize("with_schedule", [False, True], ids=["builtin", "schedule"])
-    def test_a_repeated_condition_is_refused(self, schedule_file, tmp_path, capsys, with_schedule):
+    def test_a_repeated_condition_is_refused(self, schedule_file, tmp_path, capsys, with_schedule, ids):
         out = tmp_path / "m.jsonl"
         source = ["--schedule", schedule_file] if with_schedule else ["--steps", "100,450,450"]
         code, stdout, err = cli(
-            capsys, "manifest", *source, "--condition", "A", "--condition", "B", "--seed", "1", "--out", str(out)
+            capsys, "manifest", *source, "--condition", ids[0], "--condition", ids[1], "--seed", "1",
+            "--out", str(out),
         )
         assert (code, stdout) == (2, "")
         assert err == "error: manifest generation needs exactly one condition, got 2; pick one with --condition\n"
@@ -695,3 +721,137 @@ class TestJsonInput:
         result = stagemix_process("simulate", "loss", "--spec", str(spec), "--out", str(out))
         assert (result.returncode, result.stderr) == (0, "")
         assert [json.loads(line)["loss"] for line in out.read_text().splitlines()] == [2.0, 0.0, 0.0]
+
+
+def _cap_address_space():
+    """Limit a child process to 1 GiB of address space, so that a huge allocation fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestExitCodes:
+    """Each error family carries its exit code; anything else is a toolkit bug: exit 70, one line."""
+
+    def test_usage_error_is_a_value_error_and_a_toolkit_error(self):
+        assert "UsageError" in stagemix.__all__
+        assert issubclass(UsageError, ValueError) and issubclass(UsageError, StagemixError)
+        families = (stagemix.ValidationError, UsageError, stagemix.FormatError)
+        assert [family.exit_code for family in families] == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (ValueError("boom"), "internal error: ValueError: boom\n"),
+            (KeyError("x"), "internal error: KeyError: 'x'\n"),
+        ],
+        ids=["ValueError", "KeyError"],
+    )
+    def test_any_other_exception_is_an_internal_error(self, monkeypatch, capsys, error, line):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli_module, "_cmd_validate", fail)
+        assert cli(capsys, "validate", "--condition", "A", "--steps", "1,1,1") == (70, "", line)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["manifest", "--condition", "B", "--steps", "1,100000000000,1", "--seed", "1", "--out", "m.jsonl"],
+            ["simulate", "capability", "--condition", "B", "--steps", "1,9000000000000000000,1", "--out", "e.jsonl"],
+            ["simulate", "loss", "--spec", "spec.json", "--out", "loss.jsonl"],
+        ],
+        ids=["manifest", "capability", "loss"],
+    )
+    def test_an_oversized_budget_is_one_internal_error_line(self, tmp_path, argv):
+        """Out of memory is no user error. Never run these without the cap: they would fill the machine."""
+        (tmp_path / "spec.json").write_text('{"stages": [{"steps": 10000000000000, "amplitude": 1.0, "tau": 10.0}]}')
+        argv = [str(tmp_path / arg) if arg.endswith(".json") or arg.endswith(".jsonl") else arg for arg in argv]
+        result = stagemix_process(*argv, preexec_fn=_cap_address_space)
+        assert (result.returncode, result.stdout) == (70, "")
+        assert result.stderr.startswith("internal error: ") and result.stderr.count("\n") == 1
+        assert "MemoryError: " in result.stderr and "Traceback" not in result.stderr
+
+
+def _fuzz_documents(tmp_path):
+    """A small valid file of each kind the CLI reads, and the commands that read it."""
+    log = tmp_path / "log.jsonl"
+    stages = np.repeat([1, 2], 6)
+    save_loss_trace(LossTrace(np.arange(12), stages, 3.0 - np.arange(12) / 8 + (stages == 2) * 0.5), log)
+    evals = tmp_path / "evals.jsonl"
+    scores = {task: Decimal(value) for task, value in FINAL_SCORES["B"].items()}
+    save_eval_log([EvalSnapshot(step=step, scores=scores) for step in (10, 20)], evals)
+    spec = tmp_path / "spec.json"
+    stage = {"steps": 10, "amplitude": 2.5, "tau": 20.0, "noise": 0.1}
+    spec.write_text(json.dumps({"stages": [stage, stage], "injections": [{"step": 5, "multiplier": 2.0}]}))
+    schedule = tmp_path / "schedule.json"
+    save_conditions([builtin_condition("B", (10, 20, 20))], schedule)
+    registry = tmp_path / "registry.json"
+    save_registry(builtin_registry(), registry)
+    out = str(tmp_path / "out.jsonl")
+    data = ("--format", "data")
+    builtin = ("--condition", "A", "--steps", "1,1,1", "--registry", str(registry))
+    return {
+        log: [("analyze", "--trace", str(log), "--window", "2", *data)],
+        evals: [
+            ("metrics", "aggregate", "--evals", str(evals), *data),
+            ("metrics", "trajectory", "--evals", str(evals), *data),
+            ("metrics", "convergence", "--evals", str(evals), *data),
+            ("metrics", "compare", f"B={evals}", *data),
+        ],
+        spec: [("simulate", "loss", "--spec", str(spec), "--seed", "1", "--out", out)],
+        schedule: [
+            ("validate", "--schedule", str(schedule)),
+            ("exposure", "--schedule", str(schedule), *data),
+            ("manifest", "--schedule", str(schedule), "--seed", "1", "--out", out),
+            ("simulate", "capability", "--schedule", str(schedule), "--seed", "1", "--out", out),
+        ],
+        registry: [("validate", *builtin), ("exposure", *builtin, *data)],
+    }
+
+
+# Each edit puts a token or one random byte at a position, in place of as many bytes or of a
+# whole number, or deletes that many bytes. Three edits add at most three digits to a step
+# budget of 10, so no run is large.
+_TOKENS = [b"1e400", b"-0.0", b"5e-324", b"\xff", b"\r", b"0", b"-1", b"1e308"]
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 1 << 16),
+        st.sampled_from(["insert", "replace", "delete", "number"]),
+        st.one_of(st.sampled_from(_TOKENS), st.binary(min_size=1, max_size=1)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_NUMBER = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def _mutate(text: bytes, edits) -> bytes:
+    for at, kind, token in edits:
+        numbers = list(_NUMBER.finditer(text))
+        if kind == "number" and numbers:
+            start, end = numbers[at % len(numbers)].span()
+        else:
+            start = at % (len(text) + 1)
+            end = start if kind == "insert" else start + len(token)
+        text = text[:start] + (b"" if kind == "delete" else token) + text[end:]
+    return text
+
+
+@settings(max_examples=250, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_input_file_exits_with_a_documented_code(tmp_path_factory, data):
+    """Mutated loss logs, eval logs, loss specs, schedules and registries: exit 0-3, at most one
+    stderr line and no warning, and a data report that is strict JSON."""
+    documents = _fuzz_documents(tmp_path_factory.mktemp("fuzz"))
+    path = data.draw(st.sampled_from(sorted(documents)), label="file")
+    argv = data.draw(st.sampled_from(documents[path]), label="argv")
+    path.write_bytes(_mutate(path.read_bytes(), data.draw(_EDITS, label="edits")))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(stderr):
+            code = run(list(argv))
+    assert code in (0, 1, 2, 3), stderr.getvalue()
+    assert stderr.getvalue().count("\n") <= 1 and "Traceback" not in stderr.getvalue()
+    assert [str(w.message) for w in caught] == []
+    if code == 0 and "data" in argv:
+        strict_json(stdout.getvalue())

@@ -13,6 +13,8 @@ from stagemix import (
     CapabilityModelSpec,
     DatasetSource,
     FormatError,
+    GENERATOR_ID,
+    MANIFEST_FORMAT,
     LossTrace,
     LossTraceSpec,
     ManifestSampler,
@@ -30,6 +32,7 @@ from stagemix import (
     load_eval_log,
     load_loss_spec,
     load_registry,
+    read_manifest,
     read_manifest_header,
     synth_capability,
     synth_loss,
@@ -81,7 +84,17 @@ DOCUMENTS = {
         "seed": 3,
     },
     "eval log": {"step": 100, "task": "AI2D", "score": 50.0},
+    # a manifest of no events: its header alone
+    "manifest": {
+        "format": MANIFEST_FORMAT,
+        "condition": "X",
+        "seed": 3,
+        "registry_digest": "0" * 64,
+        "generator": GENERATOR_ID,
+        "stage_steps": {"1": 0},
+    },
 }
+DOCUMENTS["manifest header"] = DOCUMENTS["manifest"]
 
 LOADERS = {
     "condition": ("schedule.json", load_conditions),
@@ -89,6 +102,8 @@ LOADERS = {
     "loss spec": ("spec.json", load_loss_spec),
     "capability spec": ("cap.json", load_capability_spec),
     "eval log": ("evals.jsonl", load_eval_log),
+    "manifest": ("manifest.jsonl", read_manifest),
+    "manifest header": ("manifest.jsonl", read_manifest_header),
 }
 
 # (parser, path to the field, the value just outside its range)
@@ -107,6 +122,8 @@ INTEGER_FIELDS = [
     ("capability spec", ("model", "eval_interval"), 2**63),
     ("capability spec", ("seed",), -1),
     ("eval log", ("step",), 2**63),
+    ("manifest", ("seed",), 2**64),
+    ("manifest header", ("seed",), 2**64),
 ]
 
 NUMBER_FIELDS = [
@@ -120,6 +137,12 @@ NUMBER_FIELDS = [
     ("capability spec", ("model", "scale")),
     ("capability spec", ("model", "noise")),
     ("capability spec", ("model", "weights", "general", "D1-general")),
+]
+
+STRING_FIELDS = [
+    (parser, (key,))
+    for parser in ("manifest", "manifest header")
+    for key in ("condition", "registry_digest", "generator")
 ]
 
 
@@ -157,6 +180,10 @@ _CASES = [
     pytest.param(parser, where, value, id=f"{parser}-{'.'.join(map(str, where))}-{value!r:.12}")
     for parser, where in NUMBER_FIELDS
     for value in (True, "3", 10**400)
+] + [
+    pytest.param(parser, where, value, id=f"{parser}-{where[0]}-{value!r}")
+    for parser, where in STRING_FIELDS
+    for value in (5, None, [1])
 ]
 
 

@@ -764,7 +764,7 @@ class TestExitCodes:
     def test_an_oversized_budget_is_one_internal_error_line(self, tmp_path, argv):
         """Out of memory is no user error. Never run these without the cap: they would fill the machine."""
         (tmp_path / "spec.json").write_text('{"stages": [{"steps": 10000000000000, "amplitude": 1.0, "tau": 10.0}]}')
-        argv = [str(tmp_path / arg) if arg.endswith(".json") or arg.endswith(".jsonl") else arg for arg in argv]
+        argv = [str(tmp_path / arg) if arg.endswith((".json", ".jsonl")) else arg for arg in argv]
         result = stagemix_process(*argv, preexec_fn=_cap_address_space)
         assert (result.returncode, result.stdout) == (70, "")
         assert result.stderr.startswith("internal error: ") and result.stderr.count("\n") == 1
@@ -836,7 +836,7 @@ def _mutate(text: bytes, edits) -> bytes:
     return text
 
 
-@settings(max_examples=250, derandomize=True)
+@settings(max_examples=250, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_a_mutated_input_file_exits_with_a_documented_code(tmp_path_factory, data):
     """Mutated loss logs, eval logs, loss specs, schedules and registries: exit 0-3, at most one

@@ -85,11 +85,10 @@ def _resolve_conditions(args):
     wanted = args.condition
     if args.schedule:
         conds = formats.load_conditions(args.schedule)
-        by_id = {c.id: c for c in reversed(conds)}  # the first condition of each id
-        missing = [w for w in wanted or () if w not in by_id]
+        missing = [w for w in wanted or () if all(c.id != w for c in conds)]
         if missing:
             raise UsageError(f"schedule file has no condition {missing[0]!r}")
-        return ([by_id[w] for w in wanted] if wanted else conds), registry
+        return ([c for w in wanted for c in conds if c.id == w] if wanted else conds), registry
     if not wanted:
         raise UsageError("need --schedule FILE, or --condition with --steps")
     if not args.steps:
@@ -217,8 +216,20 @@ def _cmd_simulate_loss(args) -> int:
     result = synth_loss(spec, seed=args.seed)
     formats.save_loss_trace(result.trace, args.out)
     if args.truth:
-        truth = [{key: getattr(t, key) for key in ("from_stage", "to_stage", "ratio")} for t in result.true_transitions]
-        formats.save_json({"injected_steps": list(result.injected_steps), "true_transitions": truth}, args.truth)
+        formats.save_json(
+            {
+                "injected_steps": list(result.injected_steps),
+                "true_transitions": [
+                    {
+                        "from_stage": t.from_stage,
+                        "to_stage": t.to_stage,
+                        "ratio": t.ratio,
+                    }
+                    for t in result.true_transitions
+                ],
+            },
+            args.truth,
+        )
     print(f"wrote {len(result.trace)} loss records to {args.out}")
     return 0
 

@@ -4,13 +4,16 @@ Data that parses but breaks a documented rule (ValidationError, exit 1),
 operation misuse such as a window larger than the trace or a bool where an
 integer belongs (UsageError, exit 2, also a ValueError), and files that cannot
 be decoded into the expected shape at all, such as a JSON field of the wrong
-type (FormatError, exit 3). Any other exception is a toolkit bug. `fields`
-holds the one rule for integers and numbers; its callers pick the family.
+type (FormatError, exit 3). Any other exception, a bare StagemixError
+included, is a toolkit bug (exit 70). `fields` holds the one rule for integers
+and numbers; its callers pick the family.
 """
 
 
 class StagemixError(Exception):
-    """Base class for toolkit-specific errors."""
+    """Base class for toolkit-specific errors; one outside the families below is a toolkit bug."""
+
+    exit_code = 70
 
 
 class ValidationError(StagemixError):

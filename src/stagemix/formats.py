@@ -420,7 +420,9 @@ def load_conditions(path) -> list[ScheduleCondition]:
     """Read a schedule file: either one condition object or {"conditions": [...]}."""
     data = load_json(path)
     if isinstance(data, dict) and "conditions" in data:
-        raw = fields.check(data["conditions"], f"{path}: conditions", list, FormatError)
+        raw = data["conditions"]
+        if not isinstance(raw, list):
+            raise FormatError(f"{path}: 'conditions' must be a list")
     elif isinstance(data, dict) and "stages" in data:
         raw = [data]
     else:

@@ -51,6 +51,7 @@ NOISY_SPEC = {
 def stagemix_process(*argv, module="stagemix", preexec_fn=None):
     """Run the CLI in a fresh interpreter, as `python -m MODULE ARGV...`."""
     env = dict(os.environ, PYTHONPATH=str(Path(stagemix.__file__).resolve().parents[1]))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")  # BLAS buffers per thread would fill a capped child
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn,
@@ -123,6 +124,30 @@ class TestValidate:
         assert code == 1
         assert "violation" in out
 
+    def test_a_duplicate_id_in_a_schedule_file_takes_every_condition_of_it(self, tmp_path, capsys):
+        """`--condition A` picks each of the file's conditions with id A, in file order, none dropped."""
+        broken = ScheduleCondition(
+            id="A",
+            stages=(StagePlan(1, 10, {"ShareGPT4V": 1.0}), StagePlan(2, 10, {"ShareGPT4V": 1.0})),
+        )
+        two_valid, one_broken = tmp_path / "two_valid.json", tmp_path / "one_broken.json"
+        save_conditions([builtin_condition("A", (100, 450, 450)), builtin_condition("A", (0, 20, 20))], two_valid)
+        save_conditions([builtin_condition("A", (100, 450, 450)), broken], one_broken)
+        code, out, _ = cli(capsys, "validate", "--schedule", str(one_broken), "--condition", "A")
+        assert code == 1
+        assert out.startswith("condition A: OK (violations: none)\ncondition A: ")
+        code, out, _ = cli(capsys, "exposure", "--schedule", str(two_valid), "--condition", "A", "--format", "data")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(row["condition"], row["post_alignment_steps"]) for row in rows] == [("A", 900), ("A", 40)]
+        manifest = tmp_path / "m.jsonl"
+        code, out, err = cli(
+            capsys, "manifest", "--schedule", str(two_valid), "--condition", "A", "--seed", "1", "--out", str(manifest)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: manifest generation needs exactly one condition, got 2; pick one with --condition\n"
+        assert not manifest.exists()
+
     def test_condition_without_steps(self, capsys):
         code, _, err = cli(capsys, "validate", "--condition", "A")
         assert code == 2
@@ -166,7 +191,7 @@ class TestExposure:
 
     @pytest.mark.parametrize("ids", [("B", "A"), ("A", "A")])
     def test_schedule_selection_follows_the_flags(self, schedule_file, capsys, ids):
-        """With --schedule as without it: one condition per flag, in flag order, repeats kept."""
+        """With --schedule as without it: conditions in flag order, repeats kept."""
         flags = [arg for cond_id in ids for arg in ("--condition", cond_id)]
         code, from_file, _ = cli(capsys, "exposure", "--schedule", schedule_file, *flags, "--format", "data")
         assert code == 0
@@ -734,8 +759,8 @@ class TestExitCodes:
     def test_usage_error_is_a_value_error_and_a_toolkit_error(self):
         assert "UsageError" in stagemix.__all__
         assert issubclass(UsageError, ValueError) and issubclass(UsageError, StagemixError)
-        families = (stagemix.ValidationError, UsageError, stagemix.FormatError)
-        assert [family.exit_code for family in families] == [1, 2, 3]
+        families = (stagemix.ValidationError, UsageError, stagemix.FormatError, StagemixError)
+        assert [family.exit_code for family in families] == [1, 2, 3, 70]
 
     @pytest.mark.parametrize(
         "error, line",

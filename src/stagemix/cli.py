@@ -8,8 +8,9 @@ synthetic runs with known ground truth.
 Exit codes, each carried by its error family (errors.py): 0 success, 1 rule
 violations in well-formed input, 2 usage errors (bad flags, window larger than
 the trace), 3 unreadable or unparseable files; 70 a toolkit bug, out of memory
-included: one `internal error:` line, never a traceback. Output is
-deterministic: the same invocation on the same inputs writes the same bytes.
+included: one `internal error:` line naming where it was raised, never a
+traceback. Output is deterministic: the same invocation on the same inputs
+writes the same bytes.
 """
 
 from __future__ import annotations
@@ -390,8 +391,13 @@ def run(argv=None) -> int:
         message, code = f"error: {err}", err.exit_code
     except OSError as err:
         message, code = f"error: {err}", 3
-    except Exception as err:  # a toolkit bug, MemoryError included: one line, never a traceback
-        message, code = f"internal error: {type(err).__name__}: {err}", 70  # sysexits EX_SOFTWARE
+    except Exception as err:  # a toolkit bug, MemoryError included: one line naming where, never a traceback
+        tb = err.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+        text = f"{type(err).__name__}: {err}" if str(err) else type(err).__name__
+        message, code = f"internal error: {text} at {where}", 70  # sysexits EX_SOFTWARE
     print(message.replace("\n", " "), file=sys.stderr)
     return code
 

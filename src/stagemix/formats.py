@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import fields
+from . import fields, floattext
 from .dynamics import LossTrace
 from .errors import EvalDataError, FormatError, TraceError
 from .metrics import (
@@ -181,6 +181,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _threaded(function, items):
+    """function(item) for each item, in order. Two or more items run on a thread per usable CPU
+    (numpy's loops release the interpreter lock), at most one per thread ahead of the one taken."""
+    if len(items) <= 1:
+        yield from map(function, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # costs ~7 ms: not at import time
+
+    workers = _usable_cpus()
+    with ThreadPoolExecutor(workers) as pool:
+        futures = (pool.submit(function, item) for item in items)
+        pending = list(itertools.islice(futures, workers))
+        while pending:
+            yield pending.pop(0).result()
+            pending += itertools.islice(futures, 1)
+
+
 def _jsonl_columns(data: bytes, columns: dict, start: int = 0) -> dict | None:
     """Columns of the JSONL lines in data[start:], read without building a dict per line.
 
@@ -194,8 +211,7 @@ def _jsonl_columns(data: bytes, columns: dict, start: int = 0) -> dict | None:
     data[start:] is cut into blocks of whole lines of about _READ_BLOCK_BYTES
     (a longer line is a block of its own), which _jsonl_block parses
     independently. The first block is parsed here, so a file in another layout
-    is refused after at most one block; the rest are parsed on a thread per
-    usable CPU, as numpy's loops release the interpreter lock. No token may be
+    is refused after at most one block; the rest by _threaded. No token may be
     wider than its block's mean line, so that each (lines, width) token matrix
     stays within its block's size.
     """
@@ -211,13 +227,9 @@ def _jsonl_columns(data: bytes, columns: dict, start: int = 0) -> dict | None:
     parts = [_jsonl_block(blocks[0], columns)]
     if parts[0] is None:
         return None
-    if len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # costs ~7 ms: not at import time
-
-        with ThreadPoolExecutor(_usable_cpus()) as pool:
-            parts += pool.map(_jsonl_block, blocks[1:], itertools.repeat(columns))
-        if any(part is None for part in parts):
-            return None
+    parts += _threaded(lambda block: _jsonl_block(block, columns), blocks[1:])
+    if any(part is None for part in parts):
+        return None
     out = {}
     for key, kind in columns.items():  # popping each block's column frees it once joined
         if kind is not str:
@@ -347,19 +359,19 @@ def _factorize(values: list) -> tuple[tuple, np.ndarray]:
     return names, np.array([index[v] for v in values], dtype=np.int64)
 
 
-# Rows per block of _write_jsonl_columns: a few MB of matrix whatever the row count.
-_BLOCK_ROWS = 65_536
+# Rows per block of _write_jsonl_columns: a few MB of matrix per thread whatever the row count.
+_BLOCK_ROWS = 32_768
 
 
 def _write_jsonl_columns(path, head: bytes, columns: dict, values: dict) -> None:
     """Write `head`, then one `{"k1":v1,...,"km":vm}\\n` line per row: the layout _jsonl_columns reads.
 
     values maps each key to an int or float array, or to (names, each row's
-    index in names). Integers print as %d, floats as repr (the shortest round
-    trip). Every block of rows is one (rows, width) uint8 matrix of broadcast
-    key literals and zero-padded values. No token holds a NUL byte (json.dumps
-    escapes U+0000; digits and repr have none), so dropping the zero bytes
-    leaves exactly the lines. Every check runs before the file is opened.
+    index in names). Integers print as %d, floats as repr (floattext). Every
+    block of rows is one (rows, width) uint8 matrix of broadcast key literals
+    and zero-padded values, built by _threaded. No token holds a NUL byte
+    (json.dumps escapes U+0000; digits and repr have none), so dropping the
+    zero bytes leaves exactly the lines. Every check runs before the file is opened.
     """
     literals, cells = [], []  # per key: its literal, and (column, block of column -> cell matrix)
     for k, (key, kind) in enumerate(columns.items()):
@@ -371,20 +383,24 @@ def _write_jsonl_columns(path, head: bytes, columns: dict, values: dict) -> None
             table = np.array([json.dumps(name).encode() for name in names], dtype="S")
             cells.append((ids, table.view(np.uint8).reshape(len(table), table.itemsize).__getitem__))
         else:
-            cells.append((values[key], _int_matrix if kind is int else _float_matrix))
+            cells.append((values[key], _int_matrix if kind is int else floattext.cells))
     line_end = np.frombuffer(b"}\n", dtype=np.uint8)
     rows = len(cells[0][0])
     if any(len(column) != rows for column, _ in cells):
         raise ValueError(f"columns {'/'.join(columns)} differ in length")
+
+    def block(start: int) -> np.ndarray:  # the bytes of rows [start, start + _BLOCK_ROWS)
+        n = min(_BLOCK_ROWS, rows - start)
+        parts = []
+        for literal, (column, cell_matrix) in zip(literals, cells):
+            parts += [np.broadcast_to(literal, (n, len(literal))), cell_matrix(column[start : start + n])]
+        matrix = np.concatenate(parts + [np.broadcast_to(line_end, (n, 2))], axis=1).ravel()
+        return matrix[matrix != 0]
+
     with open(path, "wb") as handle:
         handle.write(head)
-        for start in range(0, rows, _BLOCK_ROWS):
-            n = min(_BLOCK_ROWS, rows - start)
-            parts = []
-            for literal, (column, cell_matrix) in zip(literals, cells):
-                parts += [np.broadcast_to(literal, (n, len(literal))), cell_matrix(column[start : start + n])]
-            matrix = np.concatenate(parts + [np.broadcast_to(line_end, (n, 2))], axis=1).ravel()
-            handle.write(matrix[matrix != 0])
+        for data in _threaded(block, range(0, rows, _BLOCK_ROWS)):
+            handle.write(data)
 
 
 def _int_matrix(values: np.ndarray) -> np.ndarray:
@@ -400,16 +416,6 @@ def _int_matrix(values: np.ndarray) -> np.ndarray:
         matrix[:, -c] = np.where((magnitude > 0) | (c == 1), digit, 0)
         magnitude = quotient
     matrix[negative, 0] = ord("-")
-    return matrix
-
-
-def _float_matrix(values: np.ndarray) -> np.ndarray:
-    """Each float as the bytes of its repr, left-aligned and zero-padded."""
-    buf = np.frombuffer((",".join(map(repr, values.tolist())) + ",").encode(), dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord(","))
-    begins = np.concatenate(([0], ends[:-1] + 1))
-    matrix, inside = _token_matrix(buf, begins, ends - begins)
-    matrix[~inside] = 0
     return matrix
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import stagemix
 from stagemix import (
+    CapabilityModelSpec,
     DatasetSource,
     EvalSnapshot,
     LossTrace,
@@ -26,10 +28,12 @@ from stagemix import (
     UsageError,
     builtin_condition,
     builtin_registry,
+    load_loss_spec,
     save_conditions,
     save_eval_log,
     save_loss_trace,
     save_registry,
+    synth_loss,
 )
 from stagemix import cli as cli_module
 from stagemix.cli import _emit, run
@@ -442,6 +446,20 @@ class TestSimulate:
         assert "wrote 400 loss records" in stdout
         assert json.loads(truth.read_text())["injected_steps"] == [200]
 
+    def test_loss_clamped_to_zero_prints_as_repr(self, tmp_path, capsys):
+        # noise ten times the curve drives about half the losses below 0, where they are clamped to 0.0
+        stage = {"steps": 40_000, "amplitude": 0.1, "tau": 1000.0, "noise": 1.0}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"stages": [stage, stage]}))
+        out = tmp_path / "loss.jsonl"
+        code, stdout, err = cli(capsys, "simulate", "loss", "--spec", str(spec), "--seed", "5", "--out", str(out))
+        assert (code, stdout, err) == (0, f"wrote 80000 loss records to {out}\n", "")
+        trace = synth_loss(load_loss_spec(spec), seed=5).trace
+        assert (trace.losses == 0.0).sum() > 30_000
+        records = zip(trace.steps.tolist(), trace.stages.tolist(), trace.losses.tolist())
+        template = "".join('{"step":%d,"stage":%d,"loss":%r}\n' % record for record in records)
+        assert out.read_bytes() == template.encode()
+
     def test_loss_truth_ratio_is_null_where_analyze_reports_none(self, tmp_path, capsys):
         # the noiseless curve of stage 1 decays to exactly 0 before the boundary
         spec = tmp_path / "spec.json"
@@ -765,16 +783,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "error, line",
         [
-            (ValueError("boom"), "internal error: ValueError: boom\n"),
-            (KeyError("x"), "internal error: KeyError: 'x'\n"),
+            (ValueError("boom"), "internal error: ValueError: boom at test_cli.py:{}\n"),
+            (KeyError("x"), "internal error: KeyError: 'x' at test_cli.py:{}\n"),
+            (MemoryError(), "internal error: MemoryError at test_cli.py:{}\n"),
         ],
-        ids=["ValueError", "KeyError"],
+        ids=["ValueError", "KeyError", "empty message"],
     )
     def test_any_other_exception_is_an_internal_error(self, monkeypatch, capsys, error, line):
         def fail(args):
             raise error
 
         monkeypatch.setattr(cli_module, "_cmd_validate", fail)
+        line = line.format(fail.__code__.co_firstlineno + 1)  # the raise
         assert cli(capsys, "validate", "--condition", "A", "--steps", "1,1,1") == (70, "", line)
 
     @pytest.mark.parametrize(
@@ -792,21 +812,27 @@ class TestExitCodes:
         argv = [str(tmp_path / arg) if arg.endswith((".json", ".jsonl")) else arg for arg in argv]
         result = stagemix_process(*argv, preexec_fn=_cap_address_space)
         assert (result.returncode, result.stdout) == (70, "")
-        assert result.stderr.startswith("internal error: ") and result.stderr.count("\n") == 1
-        assert "MemoryError: " in result.stderr and "Traceback" not in result.stderr
+        assert re.fullmatch(r"internal error: \w*MemoryError(: [^\n]+)? at \w+\.py:\d+\n", result.stderr)
 
 
 def _fuzz_documents(tmp_path):
     """A small valid file of each kind the CLI reads, and the commands that read it."""
     log = tmp_path / "log.jsonl"
     stages = np.repeat([1, 2], 6)
-    save_loss_trace(LossTrace(np.arange(12), stages, 3.0 - np.arange(12) / 8 + (stages == 2) * 0.5), log)
+    losses = 3.0 - np.arange(12) / 8 + (stages == 2) * 0.5
+    save_loss_trace(LossTrace(np.arange(12), stages, losses), log)
+    csv_log, sidecar = tmp_path / "log.csv", tmp_path / "log.stages.json"
+    csv_log.write_text("step,loss\n" + "".join(f"{step},{loss!r}\n" for step, loss in enumerate(losses.tolist())))
+    sidecar.write_text(json.dumps({"boundaries": [{"stage": 1, "start_step": 0}, {"stage": 2, "start_step": 6}]}))
     evals = tmp_path / "evals.jsonl"
     scores = {task: Decimal(value) for task, value in FINAL_SCORES["B"].items()}
     save_eval_log([EvalSnapshot(step=step, scores=scores) for step in (10, 20)], evals)
     spec = tmp_path / "spec.json"
     stage = {"steps": 10, "amplitude": 2.5, "tau": 20.0, "noise": 0.1}
     spec.write_text(json.dumps({"stages": [stage, stage], "injections": [{"step": 5, "multiplier": 2.0}]}))
+    capability = tmp_path / "capability.json"
+    model = CapabilityModelSpec(scale=50.0, noise=0.5, eval_interval=5)
+    capability.write_text(json.dumps({"model": dataclasses.asdict(model), "seed": 3}, indent=2))
     schedule = tmp_path / "schedule.json"
     save_conditions([builtin_condition("B", (10, 20, 20))], schedule)
     registry = tmp_path / "registry.json"
@@ -816,6 +842,8 @@ def _fuzz_documents(tmp_path):
     builtin = ("--condition", "A", "--steps", "1,1,1", "--registry", str(registry))
     return {
         log: [("analyze", "--trace", str(log), "--window", "2", *data)],
+        csv_log: [("analyze", "--trace", str(csv_log), "--window", "2", *data)],
+        sidecar: [("analyze", "--trace", str(csv_log), "--window", "2", *data)],
         evals: [
             ("metrics", "aggregate", "--evals", str(evals), *data),
             ("metrics", "trajectory", "--evals", str(evals), *data),
@@ -823,6 +851,8 @@ def _fuzz_documents(tmp_path):
             ("metrics", "compare", f"B={evals}", *data),
         ],
         spec: [("simulate", "loss", "--spec", str(spec), "--seed", "1", "--out", out)],
+        capability: [("simulate", "capability", "--condition", "B", "--steps", "10,20,20", "--spec", str(capability),
+                      "--out", out)],
         schedule: [
             ("validate", "--schedule", str(schedule)),
             ("exposure", "--schedule", str(schedule), *data),
@@ -864,8 +894,9 @@ def _mutate(text: bytes, edits) -> bytes:
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_a_mutated_input_file_exits_with_a_documented_code(tmp_path_factory, data):
-    """Mutated loss logs, eval logs, loss specs, schedules and registries: exit 0-3, at most one
-    stderr line and no warning, and a data report that is strict JSON."""
+    """Mutated loss logs (JSONL, and CSV with their stage sidecar), eval logs, loss and capability
+    specs, schedules and registries: exit 0-3, at most one stderr line and no warning, and a data
+    report that is strict JSON."""
     documents = _fuzz_documents(tmp_path_factory.mktemp("fuzz"))
     path = data.draw(st.sampled_from(sorted(documents)), label="file")
     argv = data.draw(st.sampled_from(documents[path]), label="argv")

@@ -780,6 +780,24 @@ class TestColumnWriter:
         assert np.array_equal(got["step"], trace.steps) and np.array_equal(got["stage"], trace.stages)
         assert got["loss"].tobytes() == trace.losses.tobytes()
 
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_thread_count_does_not_change_the_bytes(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(formats, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(cpus)
+        names = tuple(WRITER_NAMES)
+        for rows in WRITER_ROWS:
+            ints = rng.integers(-(2**63), 2**63, size=(3, rows), dtype=np.int64)
+            ids = rng.integers(0, len(names), size=rows)
+            manifest = Manifest("toy", 7, "d" * 64, "gen", {1: rows}, names, ints[0], ints[1], ids, ints[2])
+            losses = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, size=rows)
+            losses[: len(WRITER_FLOATS)] = WRITER_FLOATS[:rows]
+            trace = LossTrace(steps=ints[0], stages=ints[1], losses=losses)
+            pairs = [(write_manifest, template_write_manifest, manifest), (save_loss_trace, template_save_loss_trace, trace)]
+            for write, template, obj in pairs:
+                write(obj, tmp_path / "new.jsonl")
+                template(obj, tmp_path / "old.jsonl")
+                assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes(), (rows, write)
+
     def test_empty_manifest_is_its_header_line(self, tmp_path):
         empty = np.zeros(0, dtype=np.int64)
         manifest = Manifest("toy", 3, "d" * 64, "gen", {1: 0}, (), empty, empty, empty, empty)

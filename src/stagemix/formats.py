@@ -183,7 +183,8 @@ def _usable_cpus() -> int:
 
 def _threaded(function, items):
     """function(item) for each item, in order. Two or more items run on a thread per usable CPU
-    (numpy's loops release the interpreter lock), at most one per thread ahead of the one taken."""
+    (numpy's loops release the interpreter lock), with one more queued so that no thread waits
+    for the caller: at most one per thread, plus one, ahead of the one taken."""
     if len(items) <= 1:
         yield from map(function, items)
         return
@@ -194,8 +195,8 @@ def _threaded(function, items):
         futures = (pool.submit(function, item) for item in items)
         pending = list(itertools.islice(futures, workers))
         while pending:
-            yield pending.pop(0).result()
             pending += itertools.islice(futures, 1)
+            yield pending.pop(0).result()
 
 
 def _jsonl_columns(data: bytes, columns: dict, start: int = 0) -> dict | None:

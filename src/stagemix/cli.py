@@ -8,8 +8,8 @@ synthetic runs with known ground truth.
 Exit codes, each carried by its error family (errors.py): 0 success, 1 rule
 violations in well-formed input, 2 usage errors (bad flags, window larger than
 the trace), 3 unreadable or unparseable files; 70 a toolkit bug, out of memory
-included: one `internal error:` line naming where it was raised, never a
-traceback. Output is deterministic: the same invocation on the same inputs
+included: one `internal error:` line naming the innermost stagemix line it
+passed through, never a traceback. Output is deterministic: the same invocation on the same inputs
 writes the same bytes.
 """
 
@@ -33,6 +33,8 @@ from .schedule import (
     validate_condition,
 )
 from .simulate import CapabilityModelSpec, synth_capability, synth_loss
+
+_PACKAGE = Path(__file__).parent  # an internal error names the innermost line of code in here
 
 
 def _parse_steps(text: str):
@@ -392,9 +394,12 @@ def run(argv=None) -> int:
     except OSError as err:
         message, code = f"error: {err}", 3
     except Exception as err:  # a toolkit bug, MemoryError included: one line naming where, never a traceback
-        tb = err.__traceback__
-        while tb.tb_next:
+        frames, tb = [], err.__traceback__
+        while tb:
+            frames.append(tb)
             tb = tb.tb_next
+        ours = [tb for tb in frames if Path(tb.tb_frame.f_code.co_filename).parent == _PACKAGE]
+        tb = (ours or frames)[-1]  # where the toolkit went wrong, not the library it called
         where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
         text = f"{type(err).__name__}: {err}" if str(err) else type(err).__name__
         message, code = f"internal error: {text} at {where}", 70  # sysexits EX_SOFTWARE

@@ -1,4 +1,4 @@
-"""Exact shortest round-trip text of float64 arrays, computed with numpy.
+"""Exact float64 text in both directions, computed with numpy.
 
 `cells(values)` gives the bytes of each float's `repr` as one row of a
 NUL-padded (rows, width) uint8 matrix, the cell layout the JSONL writer uses.
@@ -9,6 +9,17 @@ of those if several (Steele & White, PLDI 1990). The 64x64->128-bit products
 run on 32-bit halves in uint64 lanes, and the text is assembled in three
 little-endian uint64 words per lane. Subnormal, infinite and NaN lanes, rare
 in any log, take `repr` one at a time.
+
+`parse(buf, begins, lengths)` reads a column of JSON number tokens as
+json.loads does. Each token is taken as the last bytes of a 32-byte row, its
+classes of byte (digit, point, e, sign) as bit masks, and its last 24 bytes
+as three little-endian uint64 words: up to 19 significant digits become one
+uint64 w with the SWAR step above run in reverse, with a decimal exponent q.
+w 10**q is rounded by Clinger's exact float64 path (PLDI 1990) when every
+lane allows it, else by Eisel-Lemire (D. Lemire, "Number parsing at a
+gigabyte per second", 2021), exact without fallback for such w (N. Mushtak
+and D. Lemire, 2023). It leaves longer tokens, those that are not JSON
+numbers, and the rare lanes that no rule above decides to the caller.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k that normal doubles need
 _M32, _M63 = 0xFFFF_FFFF, (1 << 63) - 1
@@ -154,3 +166,131 @@ def cells(values: np.ndarray) -> np.ndarray:
     for row, token in zip(slow.tolist(), slow_text):
         text[row] = np.frombuffer(token.ljust(width, b"\0"), dtype=np.uint8)
     return text
+
+
+_Q_MIN, _Q_MAX = -342, 308  # w 10**q rounds to zero below, to infinity above, for 0 < w < 2**64
+_M64, _INF = (1 << 64) - 1, 0x7FF << 52
+_POW10F = np.array([float(10**i) for i in range(23)])  # exact doubles
+_ROW, _TOP = 32, 1 << 24  # parse's rows of 32 bytes pack their flags into a uint32; it reads the last 24
+
+
+@functools.cache
+def _p5_table() -> np.ndarray:
+    """(2, q) uint64 halves of 5**q scaled into [2**127, 2**128), truncated; 5**-q's reciprocal rounded up
+    (the table of fast_float, which Eisel-Lemire needs)."""
+    table = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        p = 5 ** abs(q)
+        if q >= 0:
+            c = p << max(128 - p.bit_length(), 0) >> max(p.bit_length() - 128, 0)
+        else:
+            b = p.bit_length() + 127 if q >= -27 else 2 * p.bit_length() + 128
+            c = (1 << b) // p + 1
+            c >>= max(c.bit_length() - 128, 0)
+        table.append((c >> 64, c & _M64))
+    return np.array(table, dtype=np.uint64).T.copy()
+
+
+def _top_bit(x):
+    """Index of each non-zero uint64's highest set bit, as int64."""
+    e = (x.astype(np.float64).view(np.uint64) >> 52).astype(np.int64) - 1023
+    return e - ((x >> e.astype(x.dtype)) == 0)  # the conversion may round up to the next power of two
+
+
+def _unswar8(x):
+    """The value of 8 digit values in the bytes of one little-endian word, most significant first."""
+    x = x * 10 + (x >> 8)
+    return ((x & 0x0000_00FF_0000_00FF) * (100 + (1_000_000 << 32)) + ((x >> 16) & 0x0000_00FF_0000_00FF) * (1 + (10_000 << 32))) >> 32
+
+
+def _eisel_lemire(w, q):
+    """(bits, undecided) of the double nearest w 10**q for each 0 < w < 2**64 (fast_float's compute_float)."""
+    qi = np.clip(q, _Q_MIN, _Q_MAX)
+    hi5, lo5 = (table[qi - _Q_MIN] for table in _p5_table())
+    lz = 63 - _top_bit(w)
+    w = w << lz.astype(np.uint64)
+    w_hi, w_lo = w >> 32, w & _M32
+    hi, lo = _mulhi(w_hi, w_lo, hi5 >> 32, hi5 & _M32), w * hi5
+    i = np.flatnonzero((hi & 0x1FF) == 0x1FF)  # the truncated power may matter: add the product's next word
+    if len(i):
+        second = _mulhi(w_hi[i], w_lo[i], lo5[i] >> 32, lo5[i] & _M32)
+        low = lo[i] + second
+        hi[i] += low < second
+        lo[i] = low
+    upper = hi >> 63
+    mantissa = hi >> (upper + 9)  # 54 bits
+    power2 = ((217_706 * qi) >> 16) + 63 + upper.astype(np.int64) - lz + 1023
+    # Round half up, but an exact tie to even; a carry raises the exponent.
+    m = mantissa
+    near = (qi >= -4) & (qi <= 23)  # only there can the product be exact, and a tie
+    if near.any():
+        m = m - (near & (lo <= 1) & ((m & 3) == 1) & ((m << (upper + 9)) == hi))
+    m = (m + (m & 1)) >> 1
+    bits = np.minimum(((power2 - 1).astype(np.uint64) << 52) + m, _INF)
+    tiny = power2 <= 0
+    if tiny.any():  # subnormal: shifted down to the least exponent, then rounded; a carry makes it normal
+        m = mantissa >> np.minimum(1 - power2, 64).astype(np.uint64)
+        bits = np.where(tiny, (m + (m & 1)) >> 1, bits)
+    if (q != qi).any():
+        bits = np.where(q < _Q_MIN, 0, np.where(q > _Q_MAX, _INF, bits))
+    return bits, (lo == _M64) & ((qi < -27) | (qi > 55))  # the original algorithm's fallback cases
+
+
+def parse(buf: np.ndarray, begins: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, left): the float64 json.loads reads from each token buf[begins[i] : begins[i] + lengths[i]]
+    of a uint8 buffer, except at the indices `left`, whose tokens are not JSON numbers as the lanes
+    see them, or are more than the lanes hold."""
+    if len(buf) < _ROW:
+        buf, begins = np.concatenate([np.zeros(_ROW, dtype=np.uint8), buf]), begins + _ROW
+    ends = begins + lengths
+    rows = np.maximum(ends - _ROW, 0)
+    text = sliding_window_view(buf, _ROW)[rows]  # each token at the end of a row
+    for i in np.flatnonzero(rows > ends - _ROW):  # the first tokens, whose row would begin before the buffer
+        text[i] = np.roll(text[i], _ROW - ends[i])
+    text -= ord("0")  # digits become their values
+    s = 24 - np.minimum(lengths, 24)  # the token's first byte, in the row's last 24
+    inside = _TOP - (1 << s)
+
+    # Bit i of each lane's masks: byte 8 + i is in the token and a digit, a zero, a point, an e or E, ...
+    def mask(flags):
+        return (np.packbits(flags, bitorder="little").view(np.uint32) >> 8).astype(np.int64) & inside
+
+    d = mask(text < 10)
+    z, p, e, minus, plus, big_e = (mask(text == (ord(c) - ord("0")) % 256) for c in "0.e-+E")
+    e |= big_e
+    # The grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)? on the token's last 24 bytes, bits [s, 24)
+    negative = (minus >> s) & 1
+    first = s + negative  # the first digit
+    end = e | (_TOP & (e - 1))  # the bit after the significand: the e, or 24
+    signed = ((e << 1) & (minus | plus)) != 0  # the exponent has a sign
+    ok = (d | p | e | minus | plus) == inside
+    ok &= ((minus & ~((1 << s) | (e << 1))) == 0) & ((plus & ~(e << 1)) == 0)
+    ok &= ((d >> first) & 1 == 1) & (((z >> first) & 1 == 0) | ((d >> first) & 2 == 0))  # no leading zero
+    ok &= ((p & (p - 1)) == 0) & ((e & (e - 1)) == 0)
+    ok &= (p == 0) | (((p >> 1) & d != 0) & ((p << 1) & d != 0) & (p < end))
+    ok &= (e == 0) | (((e >> 1) & d != 0) & ((e << 1 << signed) & d != 0))
+    # The significand's digits [first, stop) without the point, moved to end at byte 24, then the exponent's.
+    stop = _top_bit(end)
+    point = _top_bit(p | (end & (p - 1)))  # or stop
+    has_point = (p != 0).astype(np.int64)
+    tail = 24 - stop  # bytes of the exponent part
+    words = list(np.ascontiguousarray(text.view(np.uint64)[:, 1:].T))
+    after = _moved([w & ~b for w, b in zip(words, _below(point + 1))], tail)
+    before = _moved([w & b & ~f for w, b, f in zip(words, _below(point), _below(first))], tail + has_point)
+    v0, v1, v2 = (_unswar8(x | y) for x, y in zip(after, before))
+    w = v0 * 10**16 + v1 * 10**8 + v2
+    q = has_point * (point + 1 - stop)
+    if e.any():
+        exponent = _unswar8(words[2] & ~_BELOW[2][24 - np.maximum(tail - 1 - signed, 0)]).astype(np.int64)
+        q += exponent * (1 - 2 * ((minus >> (stop + 1)) & 1))
+    undecided = (lengths > 24) | (tail + has_point > 7) | (v0 >= 1000)  # v0 < 1000: at most 19 digits
+    # Clinger when w and 10**|q| are exact doubles in every lane; else Eisel-Lemire, exact in those too.
+    if ((w < 1 << 53) & (np.abs(q) <= 22)).all():
+        bits = (w.astype(np.float64) * _POW10F[np.maximum(q, 0)] / _POW10F[np.maximum(-q, 0)]).view(np.uint64)
+    else:
+        bits, ambiguous = _eisel_lemire(np.maximum(w, 1), q)
+        bits *= w != 0
+        undecided |= ambiguous
+    integer = (p | e) == 0
+    bits |= (negative.astype(bool) & ~(integer & (w == 0))).astype(np.uint64) << 63  # json reads -0 as 0
+    return bits.view(np.float64), np.flatnonzero(~ok | undecided)

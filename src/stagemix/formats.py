@@ -25,6 +25,7 @@ import csv
 import itertools
 import json
 import os
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -167,9 +168,6 @@ def _object_columns(path, lines: list[str], objects: list, columns: dict, first:
     return out
 
 
-_NUMBER_BYTES = np.zeros(256, dtype=bool)
-_NUMBER_BYTES[list(b"0123456789+-.eE,")] = True
-
 # Bytes per block of _jsonl_columns: about this many bytes of whole lines.
 _READ_BLOCK_BYTES = 1 << 20
 
@@ -302,20 +300,21 @@ def _int_tokens(buf, begins, lengths) -> np.ndarray | None:
     return values
 
 
+# JSON's number grammar, in ASCII.
+_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
 def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
-    # Each token is taken with the delimiter after it, which becomes the
-    # comma (or the closing bracket) of one JSON array, so that JSON's own
-    # grammar and rounding decide every value, as on the general path.
-    matrix, inside = _token_matrix(buf, begins, lengths + 1)
-    joined = matrix[inside]
-    joined[np.cumsum(lengths + 1) - 1] = ord(",")
-    if not _NUMBER_BYTES[joined].all():
-        return None
-    joined[-1] = ord("]")
-    try:
-        return np.array(json.loads(b"[" + joined.tobytes()), dtype=np.float64)
-    except (ValueError, OverflowError):
-        return None
+    values, left = floattext.parse(buf, begins, lengths)
+    for i in left.tolist():  # by json.loads, as on the general path: rare in any log
+        token = buf[begins[i] : begins[i] + lengths[i]].tobytes()
+        if not _NUMBER.fullmatch(token):
+            return None
+        try:
+            values[i] = float(json.loads(token))
+        except (ValueError, OverflowError):  # an integer of over 4300 digits, or beyond float64
+            return None
+    return values
 
 
 # Odd multiplier of _str_tokens's row hash: 2**64 over the golden ratio.
@@ -620,15 +619,33 @@ def _load_loss_csv(path) -> LossTrace:
     rows = _csv_rows(path)
     if not rows or [h.strip() for h in rows[0][:2]] != ["step", "loss"]:
         raise FormatError(f"{path}: CSV loss logs need a 'step,loss' header")
-    try:
-        steps = np.array([int(row[0]) for row in rows[1:]], dtype=np.int64)
-        losses = np.array([float(row[1]) for row in rows[1:]], dtype=np.float64)
-    except (IndexError, ValueError, OverflowError) as err:
-        raise FormatError(f"{path}: CSV rows must be 'step,loss' numbers ({err})") from None
+    steps, losses = [], []
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) < 2:
+            raise FormatError(f"{path}: row {number} needs step,loss")
+        step, loss = _csv_value(row[0]), _csv_value(row[1])
+        message = fields.problem(step, "step") or fields.problem(loss, "loss", float)
+        if message:
+            raise FormatError(f"{path}: row {number} {message}")
+        steps.append(step)
+        losses.append(loss)
+    steps = np.array(steps, dtype=np.int64)
     stages = _stages_from_boundaries(steps, boundaries, str(sidecar))
-    trace = LossTrace(steps=steps, stages=stages, losses=losses)
+    trace = LossTrace(steps=steps, stages=stages, losses=np.array(losses, dtype=np.float64))
     trace.validate()
     return trace
+
+
+def _csv_value(cell: str):
+    """The JSON value that a CSV cell spells, with spaces around it, or else its text: so a step
+    follows the integer rule and a loss the number rule, as in JSONL. JSON's digits are ASCII."""
+    text = cell.strip()
+    if text.isascii():
+        try:
+            return json.loads(text)
+        except (ValueError, RecursionError):
+            pass
+    return text
 
 
 # -- eval logs ------------------------------------------------------------------

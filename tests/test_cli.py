@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -36,6 +37,7 @@ from stagemix import (
     synth_loss,
 )
 from stagemix import cli as cli_module
+from stagemix import formats
 from stagemix.cli import _emit, run
 from fixtures_data import FINAL_SCORES
 
@@ -771,6 +773,12 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def source_line(function, text: str) -> int:
+    """The number of the first line of function's source that holds text."""
+    lines, first = inspect.getsourcelines(function)
+    return first + next(i for i, line in enumerate(lines) if text in line)
+
+
 class TestExitCodes:
     """Each error family carries its exit code; anything else is a toolkit bug: exit 70, one line."""
 
@@ -783,9 +791,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "error, line",
         [
-            (ValueError("boom"), "internal error: ValueError: boom at test_cli.py:{}\n"),
-            (KeyError("x"), "internal error: KeyError: 'x' at test_cli.py:{}\n"),
-            (MemoryError(), "internal error: MemoryError at test_cli.py:{}\n"),
+            (ValueError("boom"), "internal error: ValueError: boom at cli.py:{}\n"),
+            (KeyError("x"), "internal error: KeyError: 'x' at cli.py:{}\n"),
+            (MemoryError(), "internal error: MemoryError at cli.py:{}\n"),
         ],
         ids=["ValueError", "KeyError", "empty message"],
     )
@@ -794,8 +802,17 @@ class TestExitCodes:
             raise error
 
         monkeypatch.setattr(cli_module, "_cmd_validate", fail)
-        line = line.format(fail.__code__.co_firstlineno + 1)  # the raise
+        line = line.format(source_line(run, "args.func(args)"))  # the last toolkit line: the call of fail
         assert cli(capsys, "validate", "--condition", "A", "--steps", "1,1,1") == (70, "", line)
+
+    def test_an_internal_error_names_the_toolkit_line_not_the_library_line(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text("{}")
+        monkeypatch.setattr(formats, "_read_text", lambda path: None)  # so that formats calls json.loads(None)
+        line = source_line(formats._parse, "return json.loads(text)")
+        message = "the JSON object must be str, bytes or bytearray, not NoneType"
+        want = f"internal error: TypeError: {message} at formats.py:{line}\n"
+        assert cli(capsys, "validate", "--schedule", str(path)) == (70, "", want)
 
     @pytest.mark.parametrize(
         "argv",

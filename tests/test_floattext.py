@@ -1,5 +1,7 @@
-"""floattext.cells prints every float64 with exactly the bytes of repr."""
+"""floattext.cells prints every float64 with exactly the bytes of repr; floattext.parse, with
+json.loads for the tokens it leaves, reads every JSON number token to exactly json.loads's float64."""
 
+import json
 import sys
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stagemix.floattext import cells
+from stagemix.floattext import cells, parse
+from stagemix.formats import _float_tokens
 
 MAX = sys.float_info.max
 MIN_NORMAL = sys.float_info.min
@@ -91,3 +94,105 @@ def test_rows_are_nul_padded_to_the_longest():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
 def test_hypothesis_floats(values):
     assert_repr(values)
+
+
+def parsed(tokens: list[bytes], key: bytes = b'{"stage":-1.5e+5,"loss":') -> np.ndarray | None:
+    """The reader's float column of the tokens, each after `key` on a line of its own, as in a loss
+    log: floattext.parse, and json.loads for the tokens it leaves. The key holds every byte class a
+    number does."""
+    lines = [key + token + b"}\n" for token in tokens]
+    begins = np.cumsum([0] + [len(line) for line in lines[:-1]]) + len(key)
+    buf = np.frombuffer(b"".join(lines), dtype=np.uint8)
+    return _float_tokens(buf, begins, np.array([len(token) for token in tokens]))
+
+
+def assert_json(tokens: list[bytes]):
+    """parse gives json.loads's float64 for every token, bit for bit."""
+    want = np.array([float(json.loads(token)) for token in tokens]).view(np.uint64)
+    got = parsed(tokens).view(np.uint64)
+    wrong = [(t, g, w) for t, g, w in zip(tokens, got.tolist(), want.tolist()) if g != w]
+    assert wrong == [], f"{len(wrong)} of {len(tokens)} differ, first {wrong[:3]}"
+
+
+def test_parse_powers_of_two_and_ten():
+    values = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{n}") for n in range(-323, 309)]
+    assert_json(reprs(with_neighbours(values)))
+
+
+def test_parse_subnormal_normal_boundary():
+    below = np.nextafter(MIN_NORMAL, 0.0)
+    assert_json(reprs(with_neighbours([MIN_NORMAL, below, 2 * MIN_NORMAL, MIN_NORMAL + below])))
+    assert_json([b"2.2250738585072011e-308", b"2.2250738585072012e-308", b"4.9406564584124654e-324", b"2.4703282292062328e-324"])
+
+
+def test_parse_random_bit_patterns():
+    bits = np.random.default_rng(20211).integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert_json(reprs(values[np.isfinite(values)].tolist()))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+def test_parse_hypothesis_floats(values):
+    assert_json(reprs(values))
+
+
+def test_parse_leaves_only_what_its_lanes_cannot_hold():
+    # over 24 bytes, over 19 digits, an exponent part of over 6 bytes, or not a JSON number
+    values = np.random.default_rng(5).standard_normal(5000) * 10.0 ** np.arange(-320, 300, 0.124)[:5000]
+    held = reprs(values.tolist()) + [b"0", b"-0", b"0.0", b"1e5", b"-2.5E-7", b"1234567890123456789e-342"]
+    beyond = [b"1" * 20, b"1.5e0000001", b"0." + b"0" * 22 + b"1", b"01", b"NaN", b"1e"]
+    tokens = held + beyond
+    lengths = np.array([len(token) for token in tokens])
+    begins = np.cumsum(lengths + 1) - lengths - 1
+    values, left = parse(np.frombuffer(b",".join(tokens), dtype=np.uint8), begins, lengths)
+    assert left.tolist() == list(range(len(held), len(tokens)))
+    assert values[: len(held)].tobytes() == np.array([float(json.loads(t)) for t in held]).tobytes()
+
+
+def long_tokens(seed: int, count: int) -> list[bytes]:
+    """Tokens of 17 to 19 significant digits in every layout JSON allows, none of them repr's."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for digits, q in zip(rng.integers(17, 20, count).tolist(), rng.integers(-330, 300, count).tolist()):
+        w = str(int(rng.integers(10 ** (digits - 1), 10**digits, dtype=np.uint64)))
+        point = int(rng.integers(1, digits))
+        out += [f"{w}e{q}", f"{w[:point]}.{w[point:]}E+{q:03d}" if q >= 0 else f"-{w[:point]}.{w[point:]}e{q}", f"0.{w}"]
+    return [token.encode() for token in out]
+
+
+def test_parse_tokens_that_are_not_shortest():
+    assert_json(long_tokens(7, 3000))
+    assert_json([b"1E5", b"1e+05", b"1e-05", b"1e5", b"0e0", b"0E-0", b"-0e7", b"1.50000", b"2.000000000000000000000", b"100"])
+    assert_json([b"9007199254740993", b"9007199254740993.0", b"18446744073709551615", b"123456789012345678.9e-3"])
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        (b"-0", 0.0),  # json reads the integer -0 as 0
+        (b"-0.0", -0.0),
+        (b"1e400", float("inf")),
+        (b"-1e-400", -0.0),
+        (b"1234567890123456789012345", 1.2345678901234568e24),  # 25 digits
+        (b"0.0000000000000000000000001234", 1.234e-25),
+    ],
+)
+def test_parse_edges(token, value):
+    assert parsed([token]).tobytes() == np.array([value]).tobytes() == np.array([float(json.loads(token))]).tobytes()
+    assert parsed([b"2.5", token]).tobytes() == np.array([2.5, value]).tobytes()  # with a lane Clinger cannot take
+
+
+def test_parse_short_decimals_and_the_first_bytes_of_a_buffer():
+    tokens = [b"2.5", b"-3.25", b"0.1", b"7", b"-0", b"0.0", b"1e-5", b"22e22"]
+    assert_json(tokens)
+    assert parsed(tokens, key=b"").tobytes() == np.array([float(json.loads(t)) for t in tokens]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "token",
+    [b"01", b"1.", b".5", b"+1", b"1e", b"-", b"1e+", b"-01", b"1.e5", b"1.5.5", b"1e5e5", b"1-2", b"1+", b" 1", b"1 ",
+     b"NaN", b"Infinity", b"-Infinity", b"true", b'"3.5"', b"1\xff", b"\xd9\xa3", b"1" + b"0" * 400],
+)
+def test_reader_refuses_what_is_not_a_json_number(token):
+    # a token json.loads does not read as a number, or an integer beyond float64, sends the block the general way
+    assert parsed([b"1.5", token, b"2.5"]) is None

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -309,6 +310,27 @@ class TestLossTraceFiles:
         with pytest.raises(FormatError, match="step,loss"):
             load_loss_trace(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1_0,3.5", "row 3 step must be an integer, got '1_0'"),
+            ("20,3_5", "row 3 loss must be a number, got '3_5'"),
+            ("\u0663\u0663,  2.5", "row 3 step must be an integer, got '\u0663\u0663'"),
+        ],
+        ids=["underscore-step", "underscore-loss", "arabic-indic-step"],
+    )
+    def test_csv_cells_follow_the_number_rule(self, tmp_path, row, message):
+        # int() and float() would read these as 10, 35.0 and 33
+        path = self.write_csv(tmp_path, ["0,2.0", row], [{"stage": 1, "start_step": 0}])
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_loss_trace(path)
+
+    def test_csv_cells_may_have_spaces_around(self, tmp_path):
+        rows = [" 0 , 2.5", "10,  1e0 ", "20,3"]
+        path = self.write_csv(tmp_path, rows, [{"stage": 1, "start_step": 0}], header=" step , loss ")
+        trace = load_loss_trace(path)
+        assert (trace.steps.tolist(), trace.losses.tolist()) == ([0, 10, 20], [2.5, 1.0, 3.0])
+
 
 def general_columns(data: bytes, columns, first=0):
     """The columns as the general JSONL path reads them."""
@@ -466,6 +488,16 @@ class TestColumnReader:
         assert _jsonl_columns(short, columns) is not None
         general = general_columns(data, columns)
         assert general["step"].tolist() == list(range(2000))
+
+    def test_a_long_loss_stays_on_the_column_path(self):
+        # 25 digits are more than the parser's lanes hold: that token alone takes json.loads
+        lines = ['{"step":%d,"stage":1,"loss":%r}' % (i, 0.5 + i / 7) for i in range(200)]
+        lines[7] = '{"step":7,"stage":1,"loss":1234567890123456789012345}'
+        data = ("\n".join(lines) + "\n").encode()
+        fast = _jsonl_columns(data, LOSS_COLUMNS)
+        assert fast is not None
+        assert fast["loss"][7:8].tobytes() == np.array([float(json.loads("1234567890123456789012345"))]).tobytes()
+        assert_same_columns(fast, general_columns(data, LOSS_COLUMNS))
 
     @pytest.mark.parametrize(
         "text",

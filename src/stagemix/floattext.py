@@ -200,7 +200,8 @@ def _top_bit(x):
 def _unswar8(x):
     """The value of 8 digit values in the bytes of one little-endian word, most significant first."""
     x = x * 10 + (x >> 8)
-    return ((x & 0x0000_00FF_0000_00FF) * (100 + (1_000_000 << 32)) + ((x >> 16) & 0x0000_00FF_0000_00FF) * (1 + (10_000 << 32))) >> 32
+    pairs, high_pairs = x & 0x0000_00FF_0000_00FF, (x >> 16) & 0x0000_00FF_0000_00FF
+    return (pairs * (100 + (1_000_000 << 32)) + high_pairs * (1 + (10_000 << 32))) >> 32
 
 
 def _eisel_lemire(w, q):

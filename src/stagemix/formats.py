@@ -300,14 +300,14 @@ def _int_tokens(buf, begins, lengths) -> np.ndarray | None:
     return values
 
 
-# JSON's number grammar, in ASCII.
-_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+# JSON's number grammar; its digits are ASCII.
+_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 
 
 def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
     values, left = floattext.parse(buf, begins, lengths)
     for i in left.tolist():  # by json.loads, as on the general path: rare in any log
-        token = buf[begins[i] : begins[i] + lengths[i]].tobytes()
+        token = buf[begins[i] : begins[i] + lengths[i]].tobytes().decode("latin-1")
         if not _NUMBER.fullmatch(token):
             return None
         try:
@@ -619,8 +619,25 @@ def _load_loss_csv(path) -> LossTrace:
     rows = _csv_rows(path)
     if not rows or [h.strip() for h in rows[0][:2]] != ["step", "loss"]:
         raise FormatError(f"{path}: CSV loss logs need a 'step,loss' header")
+    steps, losses = _csv_loss_columns(path, rows[1:])
+    stages = _stages_from_boundaries(steps, boundaries, str(sidecar))
+    trace = LossTrace(steps=steps, stages=stages, losses=losses)
+    trace.validate()
+    return trace
+
+
+def _csv_loss_columns(path, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The step and loss columns of CSV rows. Each cell is read as JSON, with spaces around it, so that
+    a step follows the integer rule and a loss the number rule, as in JSONL: whole columns by the
+    column reader's token parsers where they take every cell, else cell by cell, and a cell that
+    breaks its rule is a FormatError naming its row."""
+    if rows and all(len(row) >= 2 for row in rows):
+        steps = _csv_tokens([row[0].strip() for row in rows], _int_tokens)
+        losses = _csv_tokens([row[1].strip() for row in rows], _float_tokens)
+        if steps is not None and losses is not None:
+            return steps, losses
     steps, losses = [], []
-    for number, row in enumerate(rows[1:], start=2):
+    for number, row in enumerate(rows, start=2):
         if len(row) < 2:
             raise FormatError(f"{path}: row {number} needs step,loss")
         step, loss = _csv_value(row[0]), _csv_value(row[1])
@@ -629,16 +646,21 @@ def _load_loss_csv(path) -> LossTrace:
             raise FormatError(f"{path}: row {number} {message}")
         steps.append(step)
         losses.append(loss)
-    steps = np.array(steps, dtype=np.int64)
-    stages = _stages_from_boundaries(steps, boundaries, str(sidecar))
-    trace = LossTrace(steps=steps, stages=stages, losses=np.array(losses, dtype=np.float64))
-    trace.validate()
-    return trace
+    return np.array(steps, dtype=np.int64), np.array(losses, dtype=np.float64)
+
+
+def _csv_tokens(cells: list[str], parse):
+    """`parse` (a column reader's token parser) of the cells joined into one buffer, or None."""
+    text = ",".join(cells)
+    lengths = np.array([len(cell) for cell in cells])
+    if not text.isascii() or lengths.min() == 0:
+        return None
+    return parse(np.frombuffer(text.encode(), dtype=np.uint8), np.cumsum(lengths + 1) - lengths - 1, lengths)
 
 
 def _csv_value(cell: str):
-    """The JSON value that a CSV cell spells, with spaces around it, or else its text: so a step
-    follows the integer rule and a loss the number rule, as in JSONL. JSON's digits are ASCII."""
+    """The JSON value that a CSV cell spells, with spaces around it, or else its text. JSON's digits
+    are ASCII."""
     text = cell.strip()
     if text.isascii():
         try:

@@ -107,7 +107,7 @@ def parsed(tokens: list[bytes], key: bytes = b'{"stage":-1.5e+5,"loss":') -> np.
 
 
 def assert_json(tokens: list[bytes]):
-    """parse gives json.loads's float64 for every token, bit for bit."""
+    """The reader gives json.loads's float64 for every token, bit for bit."""
     want = np.array([float(json.loads(token)) for token in tokens]).view(np.uint64)
     got = parsed(tokens).view(np.uint64)
     wrong = [(t, g, w) for t, g, w in zip(tokens, got.tolist(), want.tolist()) if g != w]
@@ -122,7 +122,8 @@ def test_parse_powers_of_two_and_ten():
 def test_parse_subnormal_normal_boundary():
     below = np.nextafter(MIN_NORMAL, 0.0)
     assert_json(reprs(with_neighbours([MIN_NORMAL, below, 2 * MIN_NORMAL, MIN_NORMAL + below])))
-    assert_json([b"2.2250738585072011e-308", b"2.2250738585072012e-308", b"4.9406564584124654e-324", b"2.4703282292062328e-324"])
+    assert_json([b"2.2250738585072011e-308", b"2.2250738585072012e-308"])
+    assert_json([b"4.9406564584124654e-324", b"2.4703282292062328e-324", b"2.4703282292062327e-324"])
 
 
 def test_parse_random_bit_patterns():
@@ -156,13 +157,15 @@ def long_tokens(seed: int, count: int) -> list[bytes]:
     for digits, q in zip(rng.integers(17, 20, count).tolist(), rng.integers(-330, 300, count).tolist()):
         w = str(int(rng.integers(10 ** (digits - 1), 10**digits, dtype=np.uint64)))
         point = int(rng.integers(1, digits))
-        out += [f"{w}e{q}", f"{w[:point]}.{w[point:]}E+{q:03d}" if q >= 0 else f"-{w[:point]}.{w[point:]}e{q}", f"0.{w}"]
+        fraction = f"{w[:point]}.{w[point:]}E+{q:03d}" if q >= 0 else f"-{w[:point]}.{w[point:]}e{q}"
+        out += [f"{w}e{q}", fraction, f"0.{w}"]
     return [token.encode() for token in out]
 
 
 def test_parse_tokens_that_are_not_shortest():
     assert_json(long_tokens(7, 3000))
-    assert_json([b"1E5", b"1e+05", b"1e-05", b"1e5", b"0e0", b"0E-0", b"-0e7", b"1.50000", b"2.000000000000000000000", b"100"])
+    assert_json([b"1E5", b"1e+05", b"1e-05", b"1e5", b"0e0", b"0E-0", b"-0e7", b"100"])
+    assert_json([b"1.50000", b"2.000000000000000000000", b"0.10000000000000000555"])
     assert_json([b"9007199254740993", b"9007199254740993.0", b"18446744073709551615", b"123456789012345678.9e-3"])
 
 
@@ -179,7 +182,8 @@ def test_parse_tokens_that_are_not_shortest():
 )
 def test_parse_edges(token, value):
     assert parsed([token]).tobytes() == np.array([value]).tobytes() == np.array([float(json.loads(token))]).tobytes()
-    assert parsed([b"2.5", token]).tobytes() == np.array([2.5, value]).tobytes()  # with a lane Clinger cannot take
+    # next to a lane that Clinger's path cannot take, so that Eisel-Lemire decides the token
+    assert parsed([b"3.5126547790869873", token]).tobytes() == np.array([3.5126547790869873, value]).tobytes()
 
 
 def test_parse_short_decimals_and_the_first_bytes_of_a_buffer():

@@ -325,6 +325,11 @@ class TestLossTraceFiles:
         with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_loss_trace(path)
 
+    def test_csv_nan_loss_is_a_rule_violation_as_in_jsonl(self, tmp_path):
+        path = self.write_csv(tmp_path, ["0,2.0", "10,NaN"], [{"stage": 1, "start_step": 0}])
+        with pytest.raises(TraceError, match="not finite"):
+            load_loss_trace(path)
+
     def test_csv_cells_may_have_spaces_around(self, tmp_path):
         rows = [" 0 , 2.5", "10,  1e0 ", "20,3"]
         path = self.write_csv(tmp_path, rows, [{"stage": 1, "start_step": 0}], header=" step , loss ")

@@ -55,7 +55,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
-    counts = {name: [0, 0] for name in ("cells vs repr", "parse vs json.loads, repr", "parse vs json.loads, 17-19 digits", "parse(cells(x)) == x")}
+    names = ("cells vs repr", "parse vs json.loads, repr", "parse vs json.loads, 17-19 digits", "parse(cells(x)) == x")
+    counts = {name: [0, 0] for name in names}
     for start in range(0, args.patterns, CHUNK):
         x = rng.integers(0, 2**64, min(CHUNK, args.patterns - start), dtype=np.uint64, endpoint=False).view(np.float64)
         text = cells(x)

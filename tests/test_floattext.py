@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stagemix.floattext import cells, parse
-from stagemix.formats import _float_tokens
+from stagemix.formats import _NUMBER, _float_tokens
 
 MAX = sys.float_info.max
 MIN_NORMAL = sys.float_info.min
@@ -148,6 +148,18 @@ def test_parse_leaves_only_what_its_lanes_cannot_hold():
     values, left = parse(np.frombuffer(b",".join(tokens), dtype=np.uint8), begins, lengths)
     assert left.tolist() == list(range(len(held), len(tokens)))
     assert values[: len(held)].tobytes() == np.array([float(json.loads(t)) for t in held]).tobytes()
+
+
+@given(st.lists(st.text(alphabet="019.eE+-x", min_size=1, max_size=26), min_size=1, max_size=40))
+def test_parse_decides_only_json_numbers(texts):
+    # every lane that parse does not leave holds a JSON number, read as json.loads reads it
+    tokens = [text.encode() for text in texts]
+    lengths = np.array([len(token) for token in tokens])
+    begins = np.cumsum(lengths + 1) - lengths - 1
+    values, left = parse(np.frombuffer(b",".join(tokens), dtype=np.uint8), begins, lengths)
+    for i in sorted(set(range(len(tokens))) - set(left.tolist())):
+        assert _NUMBER.fullmatch(texts[i]), texts[i]
+        assert values[i : i + 1].tobytes() == np.array([float(json.loads(texts[i]))]).tobytes(), texts[i]
 
 
 def long_tokens(seed: int, count: int) -> list[bytes]:

@@ -15,8 +15,7 @@ json.loads does. Each token is taken as the last bytes of a 32-byte row, its
 classes of byte (digit, point, e, sign) as bit masks, and its last 24 bytes
 as three little-endian uint64 words: up to 19 significant digits become one
 uint64 w with the SWAR step above run in reverse, with a decimal exponent q.
-w 10**q is rounded by Clinger's exact float64 path (PLDI 1990) when every
-lane allows it, else by Eisel-Lemire (D. Lemire, "Number parsing at a
+w 10**q is rounded by Eisel-Lemire (D. Lemire, "Number parsing at a
 gigabyte per second", 2021), exact without fallback for such w (N. Mushtak
 and D. Lemire, 2023). It leaves longer tokens, those that are not JSON
 numbers, and the rare lanes that no rule above decides to the caller.
@@ -170,7 +169,6 @@ def cells(values: np.ndarray) -> np.ndarray:
 
 _Q_MIN, _Q_MAX = -342, 308  # w 10**q rounds to zero below, to infinity above, for 0 < w < 2**64
 _M64, _INF = (1 << 64) - 1, 0x7FF << 52
-_POW10F = np.array([float(10**i) for i in range(23)])  # exact doubles
 _ROW, _TOP = 32, 1 << 24  # parse's rows of 32 bytes pack their flags into a uint32; it reads the last 24
 
 
@@ -285,13 +283,9 @@ def parse(buf: np.ndarray, begins: np.ndarray, lengths: np.ndarray) -> tuple[np.
         exponent = _unswar8(words[2] & ~_BELOW[2][24 - np.maximum(tail - 1 - signed, 0)]).astype(np.int64)
         q += exponent * (1 - 2 * ((minus >> (stop + 1)) & 1))
     undecided = (lengths > 24) | (tail + has_point > 7) | (v0 >= 1000)  # v0 < 1000: at most 19 digits
-    # Clinger when w and 10**|q| are exact doubles in every lane; else Eisel-Lemire, exact in those too.
-    if ((w < 1 << 53) & (np.abs(q) <= 22)).all():
-        bits = (w.astype(np.float64) * _POW10F[np.maximum(q, 0)] / _POW10F[np.maximum(-q, 0)]).view(np.uint64)
-    else:
-        bits, ambiguous = _eisel_lemire(np.maximum(w, 1), q)
-        bits *= w != 0
-        undecided |= ambiguous
+    bits, ambiguous = _eisel_lemire(np.maximum(w, 1), q)
+    bits *= w != 0
+    undecided |= ambiguous
     integer = (p | e) == 0
     bits |= (negative.astype(bool) & ~(integer & (w == 0))).astype(np.uint64) << 63  # json reads -0 as 0
     return bits.view(np.float64), np.flatnonzero(~ok | undecided)

@@ -25,7 +25,6 @@ import csv
 import itertools
 import json
 import os
-import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -288,31 +287,42 @@ def _token_matrix(buf: np.ndarray, begins: np.ndarray, lengths: np.ndarray):
 
 
 def _int_tokens(buf, begins, lengths) -> np.ndarray | None:
-    if lengths.max() > 18:
-        return None
-    matrix, inside = _token_matrix(buf, begins, lengths)
+    values, left = _int_lanes(buf, begins, lengths)
+    return None if len(left) else values
+
+
+def _int_lanes(buf, begins, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(values, left): each token's int64, except at the indices `left`, whose tokens are not 1 to 18
+    ASCII digits without a leading zero."""
+    matrix, inside = _token_matrix(buf, begins, np.clip(lengths, 1, 19))
     digits = matrix - ord("0")  # uint8: any other byte wraps to above 9
-    if ((digits > 9) & inside).any() or ((digits[:, 0] == 0) & (lengths > 1)).any():
-        return None
+    not_digits = np.flatnonzero((digits > 9) & inside) // matrix.shape[1]
+    odd = ((digits[:, 0] == 0) & (lengths > 1)) | (lengths == 0) | (lengths > 18)
     values = np.zeros(len(begins), dtype=np.int64)
     for c in range(matrix.shape[1]):
         values = np.where(inside[:, c], values * 10 + digits[:, c], values)
-    return values
+    return values, np.union1d(not_digits, np.flatnonzero(odd))
 
 
-# JSON's number grammar; its digits are ASCII.
-_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+_NUMBER_BYTES = np.zeros(256, dtype=bool)
+_NUMBER_BYTES[list(b"0123456789+-.eE,")] = True
 
 
 def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
     values, left = floattext.parse(buf, begins, lengths)
-    for i in left.tolist():  # by json.loads, as on the general path: rare in any log
-        token = buf[begins[i] : begins[i] + lengths[i]].tobytes().decode("latin-1")
-        if not _NUMBER.fullmatch(token):
+    if len(left):
+        # The tokens parse leaves, each taken with the delimiter after it, which becomes the comma
+        # (or the closing bracket) of one JSON array, so that JSON's own grammar and rounding
+        # decide them, as on the general path.
+        matrix, inside = _token_matrix(buf, begins[left], lengths[left] + 1)
+        joined = matrix[inside]
+        joined[np.cumsum(lengths[left] + 1) - 1] = ord(",")
+        if not _NUMBER_BYTES[joined].all():
             return None
+        joined[-1] = ord("]")
         try:
-            values[i] = float(json.loads(token))
-        except (ValueError, OverflowError):  # an integer of over 4300 digits, or beyond float64
+            values[left] = json.loads(b"[" + joined.tobytes())
+        except (ValueError, OverflowError):  # not a number, an integer of over 4300 digits or beyond float64
             return None
     return values
 
@@ -628,40 +638,43 @@ def _load_loss_csv(path) -> LossTrace:
 
 def _csv_loss_columns(path, rows) -> tuple[np.ndarray, np.ndarray]:
     """The step and loss columns of CSV rows. Each cell is read as JSON, with spaces around it, so that
-    a step follows the integer rule and a loss the number rule, as in JSONL: whole columns by the
-    column reader's token parsers where they take every cell, else cell by cell, and a cell that
-    breaks its rule is a FormatError naming its row."""
-    if rows and all(len(row) >= 2 for row in rows):
-        steps = _csv_tokens([row[0].strip() for row in rows], _int_tokens)
-        losses = _csv_tokens([row[1].strip() for row in rows], _float_tokens)
-        if steps is not None and losses is not None:
-            return steps, losses
-    steps, losses = [], []
-    for number, row in enumerate(rows, start=2):
-        if len(row) < 2:
-            raise FormatError(f"{path}: row {number} needs step,loss")
-        step, loss = _csv_value(row[0]), _csv_value(row[1])
+    a step follows the integer rule and a loss the number rule, as in JSONL: by the column reader's
+    token parsers, and the rows of the cells they leave one by one, where a cell that breaks its rule
+    is a FormatError naming its row."""
+    try:
+        step_cells, loss_cells = [row[0].strip() for row in rows], [row[1].strip() for row in rows]
+    except IndexError:
+        number = next(number for number, row in enumerate(rows, start=2) if len(row) < 2)
+        raise FormatError(f"{path}: row {number} needs step,loss") from None
+    steps, odd_steps = _csv_column(step_cells, _int_lanes, np.int64)
+    losses, odd_losses = _csv_column(loss_cells, floattext.parse, np.float64)
+    for i in np.union1d(odd_steps, odd_losses).tolist():
+        step, loss = _csv_value(step_cells[i]), _csv_value(loss_cells[i])
         message = fields.problem(step, "step") or fields.problem(loss, "loss", float)
         if message:
-            raise FormatError(f"{path}: row {number} {message}")
-        steps.append(step)
-        losses.append(loss)
-    return np.array(steps, dtype=np.int64), np.array(losses, dtype=np.float64)
+            raise FormatError(f"{path}: row {i + 2} {message}")
+        steps[i], losses[i] = step, loss
+    return steps, losses
 
 
-def _csv_tokens(cells: list[str], parse):
-    """`parse` (a column reader's token parser) of the cells joined into one buffer, or None."""
-    text = ",".join(cells)
-    lengths = np.array([len(cell) for cell in cells])
-    if not text.isascii() or lengths.min() == 0:
-        return None
-    return parse(np.frombuffer(text.encode(), dtype=np.uint8), np.cumsum(lengths + 1) - lengths - 1, lengths)
+def _csv_column(cells: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(values, left) of `parse`, a token parser, on the cells as the tokens of one uint8 buffer, in
+    blocks on the reader's threads. A non-ASCII character is a byte '?', which no token parser takes."""
+    lengths = np.array([len(cell) for cell in cells], dtype=np.int64)
+    buf = np.frombuffer((",".join(cells) + ",").encode("ascii", "replace"), dtype=np.uint8)
+    begins = np.cumsum(lengths + 1) - lengths - 1
+
+    def block(start: int):
+        values, left = parse(buf, begins[start : start + _BLOCK_ROWS], lengths[start : start + _BLOCK_ROWS])
+        return values, left + start
+
+    blocks = list(_threaded(block, range(0, len(cells), _BLOCK_ROWS))) or [(np.zeros(0, dtype), np.zeros(0, int))]
+    values, left = zip(*blocks)
+    return np.concatenate(values), np.concatenate(left)
 
 
-def _csv_value(cell: str):
-    """The JSON value that a CSV cell spells, with spaces around it, or else its text. JSON's digits
-    are ASCII."""
-    text = cell.strip()
+def _csv_value(text: str):
+    """The JSON value that a CSV cell's text spells, or else the text. JSON's digits are ASCII."""
     if text.isascii():
         try:
             return json.loads(text)

@@ -336,6 +336,31 @@ class TestLossTraceFiles:
         trace = load_loss_trace(path)
         assert (trace.steps.tolist(), trace.losses.tolist()) == ([0, 10, 20], [2.5, 1.0, 3.0])
 
+    def big_csv(self, tmp_path, odd: dict):
+        """A CSV of 40,000 rows, over one block of the column parsers, with the rows `odd` replaced."""
+        rows = [f"{step},{3 - step / 1e5!r}" for step in range(40_000)]
+        for i, row in odd.items():
+            rows[i] = row
+        return self.write_csv(tmp_path, rows, [{"stage": 1, "start_step": -5}])
+
+    def test_csv_cells_the_column_parsers_leave_are_read_one_by_one(self, tmp_path):
+        odd = {
+            0: "-5,2.5",  # a negative step
+            1: "-4, 2.75\u3000",  # a non-ASCII space around
+            36_000: "36000,1234567890123456789012345",  # a 25-digit loss
+            39_999: "1000000000000000000, 1.5",  # a 19-digit step
+        }
+        trace = load_loss_trace(self.big_csv(tmp_path, odd))
+        for i, row in odd.items():
+            step, loss = (json.loads(cell.strip()) for cell in row.split(","))
+            assert (trace.steps[i], trace.losses[i]) == (step, loss)
+        assert trace.losses[2:36_000].tolist() == [3 - step / 1e5 for step in range(2, 36_000)]
+
+    def test_csv_names_the_row_of_a_bad_cell_past_the_first_block(self, tmp_path):
+        path = self.big_csv(tmp_path, {35_000: "35_000,2.0"})
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: ')}row 35002 step must be an integer"):
+            load_loss_trace(path)
+
 
 def general_columns(data: bytes, columns, first=0):
     """The columns as the general JSONL path reads them."""

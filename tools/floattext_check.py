@@ -8,7 +8,7 @@ infinite) it checks, bit for bit or byte for byte:
 * cells(x) against repr(x), for every pattern;
 * parse against json.loads, for every finite x, on two tokens: repr(x), and
   |x| printed with 17 to 19 significant digits as an integer and an exponent
-  (not the shortest text, so Eisel-Lemire decides nearly all of them);
+  (not the shortest text, so that parse's 64-bit significands hold up to 19 digits);
 * parse(cells(x)) == x, for every finite x.
 
 A lane that parse leaves to its caller (who reads it with json.loads) counts

@@ -179,25 +179,61 @@ def _usable_cpus() -> int:
 
 
 def _threaded(function, items):
-    """function(item) for each item, in order. Two or more items run on a thread per usable CPU
-    (numpy's loops release the interpreter lock), with one more queued so that no thread waits
-    for the caller: at most one per thread, plus one, ahead of the one taken."""
-    if len(items) <= 1:
-        yield from map(function, items)
+    """function(item) for each item of an iterable, in order. Two or more items run on a thread per
+    usable CPU (numpy's loops release the interpreter lock), with one more queued so that no thread
+    waits for the caller: items are taken lazily, at most one per thread, plus one, ahead of the
+    result the caller waits for."""
+    items = iter(items)
+    head = list(itertools.islice(items, 2))
+    if len(head) <= 1:
+        yield from map(function, head)
         return
     from concurrent.futures import ThreadPoolExecutor  # costs ~7 ms: not at import time
 
     workers = _usable_cpus()
     with ThreadPoolExecutor(workers) as pool:
-        futures = (pool.submit(function, item) for item in items)
+        futures = (pool.submit(function, item) for item in itertools.chain(head, items))
         pending = list(itertools.islice(futures, workers))
         while pending:
             pending += itertools.islice(futures, 1)
             yield pending.pop(0).result()
 
 
-def _jsonl_columns(data: bytes, columns: dict, start: int = 0) -> dict | None:
-    """Columns of the JSONL lines in data[start:], read without building a dict per line.
+def _line_blocks(handle):
+    """The rest of a binary file as uint8 blocks of whole lines, each read into a fresh buffer.
+
+    A block holds the lines that end within _READ_BLOCK_BYTES of its start, or,
+    when none does, the one line that begins it, however long. The partial line
+    after a block begins the next one. An unterminated last line is yielded as it
+    is, so the block that holds it does not end in a newline.
+    """
+    tail = b""
+    while True:
+        buf = bytearray(_READ_BLOCK_BYTES)
+        buf[: len(tail)] = tail
+        filled = len(tail) + handle.readinto(memoryview(buf)[len(tail) :])
+        end = buf.rfind(b"\n", 0, filled) + 1
+        if end:
+            tail = buf[end:filled]
+            yield np.frombuffer(buf, dtype=np.uint8, count=end)
+            continue
+        if filled == len(tail):  # the end of the file
+            if filled:
+                yield np.frombuffer(buf, dtype=np.uint8, count=filled)
+            return
+        pieces = [memoryview(buf)[:filled]]  # a line longer than a block: read on to its end
+        tail = b""
+        while chunk := handle.read(_READ_BLOCK_BYTES):
+            cut = chunk.find(b"\n") + 1
+            pieces.append(chunk[:cut] if cut else chunk)
+            if cut:
+                tail = chunk[cut:]
+                break
+        yield np.frombuffer(b"".join(pieces), dtype=np.uint8)
+
+
+def _jsonl_columns(handle, columns: dict) -> dict | None:
+    """Columns of the JSONL lines in the rest of a binary file, read without building a dict per line.
 
     Handles only the layout the writers here produce: every line is exactly
     `{"k1":v1,...,"km":vm}\\n` with the keys of `columns` in order, integers
@@ -206,44 +242,47 @@ def _jsonl_columns(data: bytes, columns: dict, start: int = 0) -> dict | None:
     _jsonl_objects and _object_columns, which also report its errors. Both
     paths give the same columns for every file this one accepts.
 
-    data[start:] is cut into blocks of whole lines of about _READ_BLOCK_BYTES
-    (a longer line is a block of its own), which _jsonl_block parses
-    independently. The first block is parsed here, so a file in another layout
-    is refused after at most one block; the rest by _threaded. No token may be
-    wider than its block's mean line, so that each (lines, width) token matrix
-    stays within its block's size.
+    The file is read in blocks of whole lines (_line_blocks), which _jsonl_block
+    parses independently. The first block is parsed here, so a file in another
+    layout is refused after one block; the rest by _threaded as they are read,
+    so that only a few blocks per thread are held at once, never the file. No
+    token may be wider than its block's mean line, so that each (lines, width)
+    token matrix stays within its block's size.
     """
-    if len(data) <= start or data[-1] != ord("\n"):
-        return None
-    cuts = [start]
-    while cuts[-1] < len(data):
-        lo = cuts[-1]
-        end = data.rfind(b"\n", lo, lo + _READ_BLOCK_BYTES)
-        cuts.append((end if end >= 0 else data.find(b"\n", lo + _READ_BLOCK_BYTES)) + 1)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    blocks = [buf[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    parts = [_jsonl_block(blocks[0], columns)]
-    if parts[0] is None:
-        return None
-    parts += _threaded(lambda block: _jsonl_block(block, columns), blocks[1:])
-    if any(part is None for part in parts):
+    blocks = _line_blocks(handle)
+
+    def parse(block):
+        return _jsonl_block(block, columns)
+
+    parts = []
+    for part in itertools.chain(map(parse, itertools.islice(blocks, 1)), _threaded(parse, blocks)):
+        if part is None:
+            return None
+        parts.append(part)
+    if not parts:
         return None
     out = {}
-    for key, kind in columns.items():  # popping each block's column frees it once joined
-        if kind is not str:
-            out[key] = np.concatenate([part.pop(key) for part in parts])
-            continue
-        # The sorted union of the blocks' names; each block's codes remapped into it.
-        pairs = [part.pop(key) for part in parts]
-        names = tuple(sorted(set().union(*(block_names for block_names, _ in pairs))))
-        index = {name: i for i, name in enumerate(names)}
-        codes = [np.array([index[name] for name in block_names], dtype=np.int64)[ids] for block_names, ids in pairs]
-        out[key] = names, np.concatenate(codes)
+    for key, kind in columns.items():
+        if kind is str:  # the sorted union of the blocks' names; each block's codes remapped into it
+            names = tuple(sorted(set().union(*(part[key][0] for part in parts))))
+            index = {name: i for i, name in enumerate(names)}
+            for part in parts:
+                block_names, ids = part[key]
+                part[key] = np.array([index[name] for name in block_names], dtype=np.int64)[ids]
+        column = np.empty(sum(len(part[key]) for part in parts), dtype=parts[0][key].dtype)
+        at = 0
+        for part in parts:  # each block's piece is freed once copied
+            piece = part.pop(key)
+            column[at : at + len(piece)] = piece
+            at += len(piece)
+        out[key] = (names, column) if kind is str else column
     return out
 
 
 def _jsonl_block(buf: np.ndarray, columns: dict) -> dict | None:
     """Columns of one block of whole lines, in _jsonl_columns's layout, or None."""
+    if buf[-1] != ord("\n"):  # the file's last line is unterminated
+        return None
     ends = np.flatnonzero(buf == ord("\n"))
     n = len(ends)
     begins = np.concatenate(([0], ends[:-1] + 1))
@@ -309,7 +348,10 @@ _NUMBER_BYTES[list(b"0123456789+-.eE,")] = True
 
 
 def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
-    values, left = floattext.parse(buf, begins, lengths)
+    if lengths.min() > 24:  # no token fits floattext.parse's lanes of 24 bytes: all of them are left
+        values, left = np.empty(len(begins)), np.arange(len(begins))
+    else:
+        values, left = floattext.parse(buf, begins, lengths)
     if len(left):
         # The tokens parse leaves, each taken with the delimiter after it, which becomes the comma
         # (or the closing bracket) of one JSON array, so that JSON's own grammar and rounding
@@ -533,16 +575,15 @@ def _check_manifest_events(path, stage_steps: dict[int, int], steps: np.ndarray,
 
 
 def read_manifest(path) -> Manifest:
-    data = Path(path).read_bytes()
-    start = data.find(b"\n") + 1
-    try:  # the writers' header line, if it is one line of JSON; else the general path reads the file
-        header = json.loads(data[:start].decode()) if b"\r" not in data[:start] else None
-    except (ValueError, RecursionError):
-        header = None
-    columns = _jsonl_columns(data, EVENT_COLUMNS, start) if isinstance(header, dict) else None
+    with open(path, "rb") as handle:
+        first = handle.readline()
+        try:  # the writers' header line, if it is one line of JSON; else the general path reads the file
+            header = json.loads(first.decode()) if b"\r" not in first else None
+        except (ValueError, RecursionError):
+            header = None
+        columns = _jsonl_columns(handle, EVENT_COLUMNS) if isinstance(header, dict) else None
     if columns is None:
-        lines = _lines(_decode(path, data))
-        del data
+        lines = _lines(_read_text(path))
         objects = _jsonl_objects(path, lines)
         if not objects:
             raise FormatError(f"{path}: empty file, expected a manifest header line")
@@ -610,11 +651,10 @@ def load_loss_trace(path) -> LossTrace:
     """
     if str(path).endswith(".csv"):
         return _load_loss_csv(path)
-    data = Path(path).read_bytes()
-    columns = _jsonl_columns(data, LOSS_COLUMNS)
+    with open(path, "rb") as handle:
+        columns = _jsonl_columns(handle, LOSS_COLUMNS)
     if columns is None:
-        lines = _lines(_decode(path, data))
-        del data
+        lines = _lines(_read_text(path))
         columns = _object_columns(path, lines, _jsonl_objects(path, lines), LOSS_COLUMNS)
     trace = LossTrace(steps=columns["step"], stages=columns["stage"], losses=columns["loss"])
     trace.validate()

@@ -1,9 +1,12 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -42,7 +45,7 @@ from stagemix import (
     write_manifest,
     write_trajectory_csv,
 )
-from stagemix import DatasetSource, ScheduleCondition, StagePlan, formats
+from stagemix import DatasetSource, ScheduleCondition, StagePlan, floattext, formats
 from stagemix.formats import (
     _BLOCK_ROWS,
     EVENT_COLUMNS,
@@ -362,6 +365,13 @@ class TestLossTraceFiles:
             load_loss_trace(path)
 
 
+def jsonl_columns(data: bytes, columns, start=0):
+    """The columns as _jsonl_columns reads them from data[start:], an open file positioned at start."""
+    handle = io.BytesIO(data)
+    handle.seek(start)
+    return _jsonl_columns(handle, columns)
+
+
 def general_columns(data: bytes, columns, first=0):
     """The columns as the general JSONL path reads them."""
     lines = _decode("log.jsonl", data).splitlines()
@@ -421,7 +431,7 @@ class TestColumnReader:
             data = path.read_bytes()
         general = general_columns(data, LOSS_COLUMNS)
         assert_same_columns(general, {"step": trace.steps, "stage": trace.stages, "loss": trace.losses})
-        fast = _jsonl_columns(data, LOSS_COLUMNS)
+        fast = jsonl_columns(data, LOSS_COLUMNS)
         # the column reader takes integers of up to 18 digits without a sign
         assert (fast is not None) == all(0 <= v < 10**18 for v in steps + stages)
         if fast is not None:
@@ -446,7 +456,7 @@ class TestColumnReader:
                 data[at:at] = byte
             else:
                 del data[at]
-        fast = _jsonl_columns(bytes(data), columns)
+        fast = jsonl_columns(bytes(data), columns)
         if fast is not None:
             assert_same_columns(fast, general_columns(bytes(data), columns))
 
@@ -463,7 +473,7 @@ class TestColumnReader:
         ids=["bracket", "empty-value", "trailing-value", "nul-after-string", "encoded-surrogate", "open-string"],
     )
     def test_near_misses_go_the_general_way(self, columns, data):
-        assert _jsonl_columns(data, columns) is None
+        assert jsonl_columns(data, columns) is None
         with pytest.raises(FormatError):
             general_columns(data, columns)
 
@@ -483,7 +493,7 @@ class TestColumnReader:
         ids=["reordered", "spaces", "crlf", "cr", "blank-lines", "extra-key", "no-final-newline", "exponent-space", "minus-zero"],
     )
     def test_other_layouts_load_the_same_values(self, tmp_path, text):
-        assert _jsonl_columns(text.encode(), LOSS_COLUMNS) is None
+        assert jsonl_columns(text.encode(), LOSS_COLUMNS) is None
         path = tmp_path / "loss.jsonl"
         path.write_bytes(text.encode())
         loaded = load_loss_trace(path)
@@ -513,9 +523,9 @@ class TestColumnReader:
         lines = [line % i for i in range(2000)]
         lines[7] = long_line % 7
         data = ("\n".join(lines) + "\n").encode()
-        assert _jsonl_columns(data, columns) is None
+        assert jsonl_columns(data, columns) is None
         short = ("\n".join(lines[:7] + lines[8:]) + "\n").encode()
-        assert _jsonl_columns(short, columns) is not None
+        assert jsonl_columns(short, columns) is not None
         general = general_columns(data, columns)
         assert general["step"].tolist() == list(range(2000))
 
@@ -524,10 +534,23 @@ class TestColumnReader:
         lines = ['{"step":%d,"stage":1,"loss":%r}' % (i, 0.5 + i / 7) for i in range(200)]
         lines[7] = '{"step":7,"stage":1,"loss":1234567890123456789012345}'
         data = ("\n".join(lines) + "\n").encode()
-        fast = _jsonl_columns(data, LOSS_COLUMNS)
+        fast = jsonl_columns(data, LOSS_COLUMNS)
         assert fast is not None
         assert fast["loss"][7:8].tobytes() == np.array([float(json.loads("1234567890123456789012345"))]).tobytes()
         assert_same_columns(fast, general_columns(data, LOSS_COLUMNS))
+
+    def test_a_log_of_long_losses_reads_json_values(self, monkeypatch, tmp_path):
+        # 21 significant digits in 26 or 27 bytes: no token fits the parser's lanes, so json.loads reads them all
+        rng = np.random.default_rng(5)
+        tokens = [b"%.20e" % v for v in rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)]
+        data = b"".join(b'{"step":%d,"stage":1,"loss":%s}\n' % (i, token) for i, token in enumerate(tokens))
+        path = tmp_path / "loss.jsonl"
+        path.write_bytes(data)
+        parse, calls = floattext.parse, []
+        monkeypatch.setattr(floattext, "parse", lambda *args: calls.append(1) or parse(*args))
+        assert jsonl_columns(data, LOSS_COLUMNS) is not None
+        assert load_loss_trace(path).losses.tobytes() == np.array([json.loads(token) for token in tokens]).tobytes()
+        assert calls == []
 
     @pytest.mark.parametrize(
         "text",
@@ -541,7 +564,7 @@ class TestColumnReader:
     )
     def test_other_values_go_the_general_way(self, text):
         data = text.encode()
-        assert _jsonl_columns(data, LOSS_COLUMNS) is None
+        assert jsonl_columns(data, LOSS_COLUMNS) is None
         general = general_columns(data, LOSS_COLUMNS)
         want = json.loads(text)
         assert general["step"].tolist() == [want["step"]]
@@ -597,7 +620,7 @@ class TestColumnReader:
         assert b"\\u00e9" in data
         start = data.find(b"\n") + 1
         general = general_columns(data, EVENT_COLUMNS, first=1)
-        fast = _jsonl_columns(data, EVENT_COLUMNS, start)
+        fast = jsonl_columns(data, EVENT_COLUMNS, start)
         # a comma inside a name sends the file the general way
         assert (fast is None) == ("com,ma" in names)
         if fast is not None:
@@ -661,7 +684,7 @@ class TestBlockReader:
     def test_columns_match_general_path(self, block_bytes, tmp_path):
         for columns, _, data, start, first in block_files(tmp_path):
             assert len(data) > 50 * block_bytes
-            fast = _jsonl_columns(data, columns, start)
+            fast = jsonl_columns(data, columns, start)
             assert fast is not None
             assert_same_columns(fast, general_columns(data, columns, first))
 
@@ -673,7 +696,7 @@ class TestBlockReader:
         start = data.find(b"\n") + 1
         first_block = data[start : data.rfind(b"\n", start, start + block_bytes) + 1]
         assert _jsonl_block(np.frombuffer(first_block, dtype=np.uint8), EVENT_COLUMNS)["dataset"][0] == ("zulu",)
-        names, codes = _jsonl_columns(data, EVENT_COLUMNS, start)["dataset"]
+        names, codes = jsonl_columns(data, EVENT_COLUMNS, start)["dataset"]
         assert names == ("alpha", "mike", "zulu")
         assert [names[i] for i in codes.tolist()] == [manifest.dataset_names[i] for i in manifest.dataset_ids.tolist()]
         assert list(read_manifest(path).events()) == list(manifest.events())
@@ -681,24 +704,24 @@ class TestBlockReader:
     def test_lines_longer_than_a_block(self, monkeypatch, tmp_path):
         monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 16)  # every line is a block of its own
         for columns, _, data, start, first in block_files(tmp_path):
-            assert_same_columns(_jsonl_columns(data, columns, start), general_columns(data, columns, first))
+            assert_same_columns(jsonl_columns(data, columns, start), general_columns(data, columns, first))
 
     def test_long_token_is_bounded_by_its_own_block(self, block_bytes):
         # the long line is a block of its own, so its width does not widen the other blocks' matrices
         lines = ['{"step":%d,"stage":1,"dataset":"a","instance":3}' % i for i in range(200)]
         lines[7] = '{"step":7,"stage":1,"dataset":"' + "b" * 1000 + '","instance":3}'
         data = ("\n".join(lines) + "\n").encode()
-        fast = _jsonl_columns(data, EVENT_COLUMNS)
+        fast = jsonl_columns(data, EVENT_COLUMNS)
         assert fast is not None
         assert_same_columns(fast, general_columns(data, EVENT_COLUMNS))
 
     def test_defect_in_the_last_block_names_its_line(self, block_bytes, tmp_path):
         for columns, path, data, start, _ in block_files(tmp_path):
             lines = data.splitlines(keepends=True)
-            assert _jsonl_columns(b"".join(lines[:-1]), columns, start) is not None
+            assert jsonl_columns(b"".join(lines[:-1]), columns, start) is not None
             lines[-1] = lines[-1].replace(b'"stage":', b'"stage":true,"x":')
             data = b"".join(lines)
-            assert _jsonl_columns(data, columns, start) is None
+            assert jsonl_columns(data, columns, start) is None
             path.write_bytes(data)
             load = load_loss_trace if columns is LOSS_COLUMNS else read_manifest
             with pytest.raises(FormatError, match=f"^{path}: line {len(lines)} stage must be an integer"):
@@ -707,10 +730,10 @@ class TestBlockReader:
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_worker_count_does_not_change_the_columns(self, block_bytes, monkeypatch, tmp_path, cpus):
         files = block_files(tmp_path)
-        want = [_jsonl_columns(data, columns, start) for columns, _, data, start, _ in files]
+        want = [jsonl_columns(data, columns, start) for columns, _, data, start, _ in files]
         monkeypatch.setattr(formats, "_usable_cpus", lambda: cpus)
         for (columns, _, data, start, _), columns_before in zip(files, want):
-            assert_same_columns(_jsonl_columns(data, columns, start), columns_before)
+            assert_same_columns(jsonl_columns(data, columns, start), columns_before)
 
     def test_hash_collision_goes_the_general_way(self, monkeypatch, tmp_path):
         # with a zero multiplier the row hash is a token's last word, which these two names share
@@ -723,8 +746,96 @@ class TestBlockReader:
         path = tmp_path / "run.jsonl"
         write_manifest(manifest, path)
         data = path.read_bytes()
-        assert _jsonl_columns(data, EVENT_COLUMNS, data.find(b"\n") + 1) is None
+        assert jsonl_columns(data, EVENT_COLUMNS, data.find(b"\n") + 1) is None
         assert list(read_manifest(path).events()) == list(manifest.events())
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            lambda line: line[:-1] + b"\r\n",
+            lambda line: line[:-1],
+            lambda line: line.replace(b'"dataset":"', b'"dataset":"caf\xc3\xa9-').replace(b'"loss":', b'"note":"caf\xc3\xa9","loss":'),
+            lambda line: line.replace(b"}", b"\xff}"),
+            lambda line: line.replace(b'"step":', b'"step":01'),
+        ],
+        ids=["crlf", "no-final-newline", "non-ascii", "not-utf8", "leading-zero"],
+    )
+    def test_an_odd_last_line_reads_as_the_general_path_reads_it(self, block_bytes, monkeypatch, tmp_path, odd):
+        # every block but the last is read by the column reader before the file goes the general way
+        def outcome(load, path):
+            try:
+                got = load(path)
+            except FormatError as err:
+                return str(err)
+            if isinstance(got, LossTrace):
+                return got.steps.tobytes(), got.stages.tobytes(), got.losses.tobytes()
+            return got.dataset_names, list(got.events())
+
+        for columns, path, data, start, _ in block_files(tmp_path):
+            lines = data.splitlines(keepends=True)
+            lines[-1] = odd(lines[-1])
+            data = b"".join(lines)
+            assert jsonl_columns(data, columns, start) is None
+            path.write_bytes(data)
+            load = load_loss_trace if columns is LOSS_COLUMNS else read_manifest
+            got = outcome(load, path)
+            with monkeypatch.context() as general_only:
+                general_only.setattr(formats, "_jsonl_columns", lambda handle, columns: None)
+                assert got == outcome(load, path)
+
+
+class TestStreamedReader:
+    """The readers hold a few blocks of the file at a time, never the whole file."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_threaded_takes_at_most_two_items_more_than_its_workers(self, monkeypatch, cpus):
+        monkeypatch.setattr(formats, "_usable_cpus", lambda: cpus)
+        taken = 0
+
+        def items():
+            nonlocal taken
+            for item in range(40):
+                taken += 1
+                yield item
+
+        results, held = [], []
+        for result in formats._threaded(lambda item: item * 2, items()):
+            results.append(result)
+            held.append(taken - len(results) + 1)  # taken and not yet done with, this one included
+        assert results == [item * 2 for item in range(40)]
+        assert max(held) <= cpus + 2
+
+    @pytest.mark.parametrize("items", [[], [7]])
+    def test_threaded_runs_fewer_than_two_items_inline(self, items):
+        threads = []
+        results = list(formats._threaded(lambda item: threads.append(threading.get_ident()) or item, iter(items)))
+        assert results == items
+        assert threads == [threading.get_ident()] * len(items)
+
+    @pytest.mark.parametrize("load", [read_manifest, load_loss_trace])
+    def test_reading_holds_less_than_the_file(self, monkeypatch, tmp_path, load):
+        # about 4 MB in blocks of 64 KB on two threads: what stays is the columns and a few blocks
+        monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 1 << 16)
+        monkeypatch.setattr(formats, "_usable_cpus", lambda: 2)
+        path = tmp_path / "file.jsonl"
+        if load is read_manifest:
+            registry = tuple(DatasetSource(source.name, source.group, 50_000) for source in SMALL_REGISTRY)
+            condition = ScheduleCondition(
+                id="big", stages=(StagePlan(1, 20_000, {"alpha": 1.0}), StagePlan(2, 50_000, {"beta": 0.75, "gamma": 0.25}))
+            )
+            write_manifest(generate_manifest(condition, registry, seed=3), path)
+        else:
+            save_loss_trace(random_trace(3, 80_000), path)
+        load(path)  # tables built on first use stay out of the measure
+        tracemalloc.start()
+        try:
+            load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 60 * (1 << 16)
+        assert peak < size
 
 
 def test_importing_the_cli_loads_no_thread_pool():
@@ -768,7 +879,7 @@ def tiled(values, rows, dtype=np.int64):
 
 def fast_or_general(data: bytes, columns, start: int, fast_expected: bool):
     """The columns as _jsonl_columns reads them, which it must when `fast_expected`, else the general path's."""
-    fast = _jsonl_columns(data, columns, start)
+    fast = jsonl_columns(data, columns, start)
     assert fast_expected <= (fast is not None)
     return fast if fast is not None else general_columns(data, columns, first=1 if start else 0)
 

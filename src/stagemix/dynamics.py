@@ -20,6 +20,10 @@ and mean exactly its shared value, so float error cannot conjure a nonzero
 threshold width out of a flat window. A window that is not flat but whose
 shifted sums overflow float64 has a NaN std, never 0.0, and is refused with
 TraceError, at the same window in batch and streaming, without a warning.
+window_stats runs the kernel in chunks of whole blocks, one on each usable CPU
+at a time (threads._threaded). A window's statistics depend on its two blocks
+alone, so no CPU count changes a bit of them, and the temporaries of all the
+chunks at work together stay near _CHUNK_CELLS float64 cells.
 
 The streaming RollingWindow runs the same arithmetic in the same order: it
 sums the block being filled as it arrives and takes the suffix sums of each
@@ -38,14 +42,13 @@ import numpy as np
 
 from . import fields
 from .errors import TraceError, UsageError
+from .threads import _threaded, _usable_cpus
 
 DEFAULT_WINDOW = 50
 SPIKE_SIGMA = 2.0
 
-# Float64 cells of kernel temporaries per chunk (~32 MB) regardless of window
-# size. The block kernel holds about _CHUNK_TEMPORARIES arrays as long as its
-# chunk, so a chunk spans _CHUNK_CELLS // _CHUNK_TEMPORARIES records, rounded
-# down to whole blocks (at least one).
+# Float64 cells of kernel temporaries (~32 MB) of all chunks at work, whatever the window: the
+# kernel holds about _CHUNK_TEMPORARIES arrays as long as its chunk of whole blocks (at least one).
 _CHUNK_CELLS = 4_000_000
 _CHUNK_TEMPORARIES = 16
 
@@ -180,21 +183,22 @@ def _block_window_stats(x: np.ndarray, window: int, blocks: int) -> tuple[np.nda
 
 
 def window_stats(trace: LossTrace, window: int = DEFAULT_WINDOW) -> WindowStats:
-    """Batch windowed statistics in O(N), chunked at block boundaries so
-    temporaries stay bounded."""
+    """Batch windowed statistics in O(N), in chunks of whole blocks on a thread per usable CPU."""
     window = _check_window(window, len(trace))
     losses = trace.losses
     rows = len(losses) - window + 1
     means = np.empty(rows, dtype=np.float64)
     stds = np.empty(rows, dtype=np.float64)
-    span = max(1, _CHUNK_CELLS // (_CHUNK_TEMPORARIES * window)) * window
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are refused below
-        for start in range(0, rows, span):
-            stop = min(start + span, rows)
-            blocks = -(-(stop - start) // window)
-            chunk = losses[start : start + (blocks + 1) * window]
-            mean, std = _block_window_stats(chunk, window, blocks)
-            means[start:stop], stds[start:stop] = mean[: stop - start], std[: stop - start]
+    span = max(1, _CHUNK_CELLS // (_CHUNK_TEMPORARIES * window * _usable_cpus())) * window
+
+    def chunk(start: int) -> None:
+        stop = min(start + span, rows)
+        blocks = -(-(stop - start) // window)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums are refused below
+            mean, std = _block_window_stats(losses[start : start + (blocks + 1) * window], window, blocks)
+        means[start:stop], stds[start:stop] = mean[: stop - start], std[: stop - start]
+
+    list(_threaded(chunk, range(0, rows, span)))  # each chunk fills its slice of means and stds
     if not (np.isfinite(means).all() and np.isfinite(stds).all()):
         raise TraceError(_OVERFLOW)
     return WindowStats(window=window, steps=trace.steps[window - 1 :].copy(), means=means, stds=stds)
@@ -301,7 +305,7 @@ def _spike_report(trace: LossTrace, stats: WindowStats) -> SpikeReport:
     tested = trace.losses[window - 1 :]
     width = SPIKE_SIGMA * stats.stds
     indicators = (tested > stats.means + width) | (tested < stats.means - width)
-    spike_steps = tuple(int(s) for s in stats.steps[indicators])
+    spike_steps = tuple(stats.steps[indicators].tolist())
     return SpikeReport(
         window=window,
         n_windows=len(stats),

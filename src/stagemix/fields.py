@@ -7,8 +7,11 @@ ones too), never a bool, whose float() does not overflow; with `non_negative`
 it is also finite and >= 0. A name is a str, non-empty with `empty=False`.
 `check` returns the plain Python value or raises the error class its caller
 picks (UsageError by default); `problem` gives the message; `read` checks a
-JSON object's fields.
+JSON object's fields. `check_budget` refuses a count of steps whose arrays
+cannot fit in the machine's memory, before anything is allocated for it.
 """
+
+import os
 
 import numpy as np
 
@@ -83,3 +86,15 @@ def read(obj, where: str, kinds: dict, **defaults) -> dict:
         key: check(obj[key], f"{where} {key}", kind, FormatError) if key in obj else defaults[key]
         for key, kind in kinds.items()
     }
+
+
+def check_budget(count: int, bytes_each: int, what: str) -> None:
+    """A UsageError naming the budget when `count` items of `bytes_each` bytes need more than the
+    machine's physical memory, as os.sysconf reports it (no check where it reports none)."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if count * bytes_each > memory:
+        need, have = count * bytes_each / 2**30, memory / 2**30
+        raise UsageError(f"{count} {what} need about {need:.1f} GiB of memory, more than this machine's {have:.1f} GiB")

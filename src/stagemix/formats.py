@@ -24,14 +24,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import os
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fields, floattext
+from .threads import _threaded
 from .dynamics import LossTrace
 from .errors import EvalDataError, FormatError, TraceError
 from .metrics import (
@@ -169,38 +168,11 @@ def _object_columns(path, lines: list[str], objects: list, columns: dict, first:
 
 # Bytes per block of _jsonl_columns: about this many bytes of whole lines.
 _READ_BLOCK_BYTES = 1 << 20
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _threaded(function, items):
-    """function(item) for each item of an iterable, in order. Two or more items run on a thread per
-    usable CPU (numpy's loops release the interpreter lock), with one more queued so that no thread
-    waits for the caller: items are taken lazily, at most one per thread, plus one, ahead of the
-    result the caller waits for."""
-    items = iter(items)
-    head = list(itertools.islice(items, 2))
-    if len(head) <= 1:
-        yield from map(function, head)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # costs ~7 ms: not at import time
-
-    workers = _usable_cpus()
-    with ThreadPoolExecutor(workers) as pool:
-        futures = (pool.submit(function, item) for item in itertools.chain(head, items))
-        pending = list(itertools.islice(futures, workers))
-        while pending:
-            pending += itertools.islice(futures, 1)
-            yield pending.pop(0).result()
+_PAD = 8  # bytes after each buffer that the token parsers read: a word read at any offset in it fits
 
 
 def _line_blocks(handle):
-    """The rest of a binary file as uint8 blocks of whole lines, each read into a fresh buffer.
+    """The rest of a binary file as uint8 blocks of whole lines, each in a fresh buffer, then _PAD bytes.
 
     A block holds the lines that end within _READ_BLOCK_BYTES of its start, or,
     when none does, the one line that begins it, however long. The partial line
@@ -209,17 +181,17 @@ def _line_blocks(handle):
     """
     tail = b""
     while True:
-        buf = bytearray(_READ_BLOCK_BYTES)
+        buf = bytearray(_READ_BLOCK_BYTES + _PAD)
         buf[: len(tail)] = tail
-        filled = len(tail) + handle.readinto(memoryview(buf)[len(tail) :])
+        filled = len(tail) + handle.readinto(memoryview(buf)[len(tail) : _READ_BLOCK_BYTES])
         end = buf.rfind(b"\n", 0, filled) + 1
         if end:
             tail = buf[end:filled]
-            yield np.frombuffer(buf, dtype=np.uint8, count=end)
+            yield np.frombuffer(buf, dtype=np.uint8, count=end + _PAD)
             continue
         if filled == len(tail):  # the end of the file
             if filled:
-                yield np.frombuffer(buf, dtype=np.uint8, count=filled)
+                yield np.frombuffer(buf, dtype=np.uint8, count=filled + _PAD)
             return
         pieces = [memoryview(buf)[:filled]]  # a line longer than a block: read on to its end
         tail = b""
@@ -229,7 +201,7 @@ def _line_blocks(handle):
             if cut:
                 tail = chunk[cut:]
                 break
-        yield np.frombuffer(b"".join(pieces), dtype=np.uint8)
+        yield np.frombuffer(b"".join(pieces + [bytes(_PAD)]), dtype=np.uint8)
 
 
 def _jsonl_columns(handle, columns: dict) -> dict | None:
@@ -246,8 +218,8 @@ def _jsonl_columns(handle, columns: dict) -> dict | None:
     parses independently. The first block is parsed here, so a file in another
     layout is refused after one block; the rest by _threaded as they are read,
     so that only a few blocks per thread are held at once, never the file. No
-    token may be wider than its block's mean line, so that each (lines, width)
-    token matrix stays within its block's size.
+    token may be wider than its block's mean line, so that the words gathered
+    for a column stay within its block's size.
     """
     blocks = _line_blocks(handle)
 
@@ -279,34 +251,46 @@ def _jsonl_columns(handle, columns: dict) -> dict | None:
     return out
 
 
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian uint64 at each byte offset of a uint8 buffer at which 8 bytes remain."""
+    return np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+
+
+_FIRST = floattext._BELOW[0]  # _FIRST[c]: the mask of a word's first c <= 8 bytes
+_SHIFTS = 64 - 8 * np.arange(9, dtype=np.uint64)  # _SHIFTS[c]: moves a word's first c bytes to its end
+
+
 def _jsonl_block(buf: np.ndarray, columns: dict) -> dict | None:
-    """Columns of one block of whole lines, in _jsonl_columns's layout, or None."""
-    if buf[-1] != ord("\n"):  # the file's last line is unterminated
+    """Columns of a block of whole lines and _PAD bytes, as _line_blocks yields it, in _jsonl_columns's
+    layout, or None."""
+    size = len(buf) - _PAD
+    if buf[size - 1] != ord("\n"):  # the file's last line is unterminated
         return None
-    ends = np.flatnonzero(buf == ord("\n"))
+    ends = np.flatnonzero(buf[:size] == ord("\n"))
     n = len(ends)
     begins = np.concatenate(([0], ends[:-1] + 1))
-    commas = np.flatnonzero(buf == ord(","))
+    commas = np.flatnonzero(buf[:size] == ord(","))
     if len(commas) != n * (len(columns) - 1):
         return None
-    commas = commas.reshape(n, len(columns) - 1)
-    if (commas[:, 0] <= begins).any() or (commas[:, -1] >= ends).any():
-        return None
+    commas = commas.reshape(n, len(columns) - 1)  # a comma in another line than its row's leaves a field short
     if (buf[ends - 1] != ord("}")).any():
         return None
     field_begins = [begins] + [commas[:, k] + 1 for k in range(len(columns) - 1)]
     field_ends = [commas[:, k] for k in range(len(columns) - 1)] + [ends - 1]
+    words = _words(buf)
     out = {}
     for k, (key, kind) in enumerate(columns.items()):
-        tag = np.frombuffer((("{" if k == 0 else "") + json.dumps(key) + ":").encode(), dtype=np.uint8)
+        tag = (("{" if k == 0 else "") + json.dumps(key) + ":").encode()
         token_begins = field_begins[k] + len(tag)
         lengths = field_ends[k] - token_begins
         if lengths.min() < 1:
             return None
-        if (lengths.max() + 1) * n > len(buf):  # one long token would make every row as wide
+        if (lengths.max() + 1) * n > size:  # one long token would make every row as wide
             return None
-        if not (sliding_window_view(buf, len(tag))[field_begins[k]] == tag).all():
-            return None
+        for at in range(0, len(tag), 8):  # 8 bytes at a time, in words that end before the token's
+            piece = tag[at : at + 8]
+            if ((words[field_begins[k] + at] & _FIRST[len(piece)]) != int.from_bytes(piece, "little")).any():
+                return None
         parse = _int_tokens if kind is int else _float_tokens if kind is float else _str_tokens
         column = parse(buf, token_begins, lengths)
         if column is None:
@@ -315,32 +299,27 @@ def _jsonl_block(buf: np.ndarray, columns: dict) -> dict | None:
     return out
 
 
-def _token_matrix(buf: np.ndarray, begins: np.ndarray, lengths: np.ndarray):
-    """Each token's bytes as one row, left-aligned, and the mask of token bytes."""
-    width = int(lengths.max())
-    rows = np.minimum(begins, len(buf) - width)
-    matrix = sliding_window_view(buf, width)[rows]
-    for i in np.flatnonzero(rows < begins):  # the last tokens, whose row would run past the end
-        matrix[i] = np.roll(matrix[i], rows[i] - begins[i])
-    return matrix, np.arange(width) < lengths[:, None]
-
-
 def _int_tokens(buf, begins, lengths) -> np.ndarray | None:
-    values, left = _int_lanes(buf, begins, lengths)
+    values, left = _int_words(buf, begins, lengths)
     return None if len(left) else values
 
 
-def _int_lanes(buf, begins, lengths) -> tuple[np.ndarray, np.ndarray]:
+def _int_words(buf, begins, lengths) -> tuple[np.ndarray, np.ndarray]:
     """(values, left): each token's int64, except at the indices `left`, whose tokens are not 1 to 18
-    ASCII digits without a leading zero."""
-    matrix, inside = _token_matrix(buf, begins, np.clip(lengths, 1, 19))
-    digits = matrix - ord("0")  # uint8: any other byte wraps to above 9
-    not_digits = np.flatnonzero((digits > 9) & inside) // matrix.shape[1]
-    odd = ((digits[:, 0] == 0) & (lengths > 1)) | (lengths == 0) | (lengths > 18)
-    values = np.zeros(len(begins), dtype=np.int64)
-    for c in range(matrix.shape[1]):
-        values = np.where(inside[:, c], values * 10 + digits[:, c], values)
-    return values, np.union1d(not_digits, np.flatnonzero(odd))
+    ASCII digits without a leading zero. Each of a token's words, flipped with 0x30 bytes and moved
+    to the word's end, holds digit values, if adding 0x76 sets no byte's high bit (SWAR)."""
+    values = np.zeros(len(begins), dtype=np.uint64)
+    left = (lengths < 1) | (lengths > 18)
+    words, ends = _words(buf), begins + lengths
+    for at in range(0, min(int(lengths.max(initial=0)), 24), 8):
+        count = np.clip(lengths - at, 0, 8)
+        word = words[np.minimum(begins + at, ends)]  # past the token: read at its end, then shifted out
+        if not at:
+            left |= ((word & 0xFF) == ord("0")) & (lengths > 1)  # a leading zero
+        digits = (word ^ floattext._ZEROS) << _SHIFTS[count]
+        left |= (((digits + 0x7676_7676_7676_7676) | digits) & 0x8080_8080_8080_8080) != 0
+        values = values * floattext._POW10[count] + floattext._unswar8(digits)
+    return values.view(np.int64), np.flatnonzero(left)
 
 
 _NUMBER_BYTES = np.zeros(256, dtype=bool)
@@ -348,17 +327,17 @@ _NUMBER_BYTES[list(b"0123456789+-.eE,")] = True
 
 
 def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
-    if lengths.min() > 24:  # no token fits floattext.parse's lanes of 24 bytes: all of them are left
-        values, left = np.empty(len(begins)), np.arange(len(begins))
-    else:
-        values, left = floattext.parse(buf, begins, lengths)
+    values, left = (  # where no token fits floattext.parse's lanes of 24 bytes, all of them are left
+        (np.empty(len(begins)), np.arange(len(begins))) if lengths.min() > 24 else floattext.parse(buf, begins, lengths)
+    )
     if len(left):
-        # The tokens parse leaves, each taken with the delimiter after it, which becomes the comma
-        # (or the closing bracket) of one JSON array, so that JSON's own grammar and rounding
-        # decide them, as on the general path.
-        matrix, inside = _token_matrix(buf, begins[left], lengths[left] + 1)
-        joined = matrix[inside]
-        joined[np.cumsum(lengths[left] + 1) - 1] = ord(",")
+        # The tokens parse leaves, each joined with the delimiter after it, which becomes the comma (or
+        # the closing bracket) of one JSON array: JSON's own grammar and rounding decide them, as on the
+        # general path.
+        sizes = lengths[left] + 1
+        stops = np.cumsum(sizes)
+        joined = buf[np.arange(stops[-1]) + np.repeat(begins[left] + sizes - stops, sizes)]
+        joined[stops - 1] = ord(",")
         if not _NUMBER_BYTES[joined].all():
             return None
         joined[-1] = ord("]")
@@ -374,26 +353,26 @@ _ROW_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _str_tokens(buf, begins, lengths):
-    matrix, inside = _token_matrix(buf, begins, lengths)
-    last = matrix[np.arange(len(begins)), lengths - 1]
-    if ((matrix[:, 0] != ord('"')) | (last != ord('"'))).any():
+    if ((buf[begins] != ord('"')) | (buf[begins + lengths - 1] != ord('"'))).any():
         return None
-    matrix[~inside] = 0
-    # Factorize the rows as uint64 words: a multiply-add hash per row, then an
-    # exact check of every row against the first row with its hash.
-    words = np.zeros((len(begins), -(-matrix.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : matrix.shape[1]] = matrix
-    words = words.view(np.uint64)
-    hashes = words[:, 0].copy()
-    for c in range(1, words.shape[1]):
-        hashes = hashes * _ROW_HASH + words[:, c]
-    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
-    if not (words[first[inverse]] == words).all():
+    # Factorize the tokens by their words, zero past each token's end: a multiply-add hash per row,
+    # then an exact check of every row against the row its hash picks.
+    words, ends = _words(buf), begins + lengths
+    rows = [
+        words[np.minimum(begins + at, ends)] & _FIRST[np.clip(lengths - at, 0, 8)] for at in range(0, lengths.max(), 8)
+    ]
+    hashes = rows[0]
+    for row in rows[1:]:
+        hashes = hashes * _ROW_HASH + row
+    _, inverse = np.unique(hashes, return_inverse=True)
+    picked = np.empty(inverse.max() + 1, dtype=np.int64)
+    picked[inverse] = np.arange(len(inverse))  # a row of each hash
+    picks = [row[picked] for row in rows]
+    if not all((pick[inverse] == row).all() for pick, row in zip(picks, rows)):
         return None  # two distinct tokens share a hash
     values = []
     # A token ends in its closing quote, so the NUL padding that S strips is never part of it.
-    for token in words[first].view(f"S{words.itemsize * words.shape[1]}").ravel().tolist():
+    for token in np.stack(picks, axis=1).view(f"S{8 * len(rows)}").ravel().tolist():
         if not token.isascii():  # json.loads would let encoded surrogates through
             return None
         try:
@@ -686,7 +665,7 @@ def _csv_loss_columns(path, rows) -> tuple[np.ndarray, np.ndarray]:
     except IndexError:
         number = next(number for number, row in enumerate(rows, start=2) if len(row) < 2)
         raise FormatError(f"{path}: row {number} needs step,loss") from None
-    steps, odd_steps = _csv_column(step_cells, _int_lanes, np.int64)
+    steps, odd_steps = _csv_column(step_cells, _int_words, np.int64)
     losses, odd_losses = _csv_column(loss_cells, floattext.parse, np.float64)
     for i in np.union1d(odd_steps, odd_losses).tolist():
         step, loss = _csv_value(step_cells[i]), _csv_value(loss_cells[i])
@@ -701,7 +680,7 @@ def _csv_column(cells: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]
     """(values, left) of `parse`, a token parser, on the cells as the tokens of one uint8 buffer, in
     blocks on the reader's threads. A non-ASCII character is a byte '?', which no token parser takes."""
     lengths = np.array([len(cell) for cell in cells], dtype=np.int64)
-    buf = np.frombuffer((",".join(cells) + ",").encode("ascii", "replace"), dtype=np.uint8)
+    buf = np.frombuffer((",".join(cells) + "," + "\0" * _PAD).encode("ascii", "replace"), dtype=np.uint8)
     begins = np.cumsum(lengths + 1) - lengths - 1
 
     def block(start: int):

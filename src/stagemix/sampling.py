@@ -263,6 +263,7 @@ class ManifestSampler:
 
     def _draw(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stages, dataset ids and instances of the next `count` steps; advances past them."""
+        fields.check_budget(count, 32, "manifest steps")  # the four int64 event columns
         start = self._step
         end = start + count
         stages = np.empty(count, dtype=np.int64)

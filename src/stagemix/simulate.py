@@ -138,6 +138,7 @@ def synth_loss(spec: LossTraceSpec, seed: int | None = None) -> SynthLoss:
     if seed is None and any(stage.noise > 0 for stage in spec.stages):
         raise UsageError("simulating with noise needs an explicit seed")
     total = spec.total_steps()
+    fields.check_budget(total, 40, "simulated loss steps")  # the noisy and noiseless logs at one record a step
     noiseless = np.empty(total, dtype=np.float64)
     stage_of = np.empty(total, dtype=np.int64)
     noise_scale = np.empty(total, dtype=np.float64)
@@ -247,6 +248,7 @@ def synth_capability(
     total = cond.total_steps()
     if total < 1:
         raise ValidationError("condition has no training steps to simulate")
+    fields.check_budget(total // model.eval_interval + 1, 1024, "evaluation snapshots")  # 1.1 KB each, measured
     eval_points = list(range(model.eval_interval, total, model.eval_interval))
     eval_points.append(total)
     rng = np.random.default_rng(seed)

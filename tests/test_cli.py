@@ -768,6 +768,10 @@ class TestJsonInput:
         assert [json.loads(line)["loss"] for line in out.read_text().splitlines()] == [2.0, 0.0, 0.0]
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _cap_address_space():
     """Limit a child process to 1 GiB of address space, so that a huge allocation fails at once."""
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -815,18 +819,48 @@ class TestExitCodes:
         assert cli(capsys, "validate", "--schedule", str(path)) == (70, "", want)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["manifest", "--condition", "B", "--steps", "1,100000000000,1", "--seed", "1", "--out", "m.jsonl"],
-            ["simulate", "capability", "--condition", "B", "--steps", "1,9000000000000000000,1", "--out", "e.jsonl"],
-            ["simulate", "loss", "--spec", "spec.json", "--out", "loss.jsonl"],
+            (
+                ["manifest", "--condition", "B", "--steps", "1,100000000000,1", "--seed", "1", "--out", "m.jsonl"],
+                "100000000002 manifest steps need about 2980.2 GiB of memory",
+            ),
+            (
+                ["simulate", "capability", "--condition", "B", "--steps", "1,9000000000000000000,1", "--out", "e.jsonl"],
+                "90000000000000001 evaluation snapshots need about 85830688476.6 GiB of memory",
+            ),
+            (
+                ["simulate", "loss", "--spec", "spec.json", "--out", "loss.jsonl"],
+                "10000000000000 simulated loss steps need about 372529.0 GiB of memory",
+            ),
         ],
         ids=["manifest", "capability", "loss"],
     )
-    def test_an_oversized_budget_is_one_internal_error_line(self, tmp_path, argv):
-        """Out of memory is no user error. Never run these without the cap: they would fill the machine."""
+    def test_an_impossible_budget_is_a_usage_error(self, tmp_path, argv, message):
+        """A budget whose arrays cannot fit in the machine is refused before anything is allocated.
+        Never run these without the cap: should the check fail, they would fill the machine."""
         (tmp_path / "spec.json").write_text('{"stages": [{"steps": 10000000000000, "amplitude": 1.0, "tau": 10.0}]}')
         argv = [str(tmp_path / arg) if arg.endswith((".json", ".jsonl")) else arg for arg in argv]
+        result = stagemix_process(*argv, preexec_fn=_cap_address_space)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert re.fullmatch(f"error: {message}, more than this machine's [0-9.]+ GiB\n", result.stderr)
+        assert not any(tmp_path.glob("*.jsonl"))
+
+    @pytest.mark.skipif(_physical_memory() < 6 << 30, reason="a budget that fits the machine fits the cap too")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["manifest", "--condition", "B", "--steps", "1,{steps},1", "--seed", "1", "--out", "m.jsonl"],
+            ["simulate", "loss", "--spec", "spec.json", "--out", "loss.jsonl"],
+        ],
+        ids=["manifest", "loss"],
+    )
+    def test_an_oversized_budget_is_one_internal_error_line(self, tmp_path, argv):
+        """Out of memory is no user error: a budget that fits the machine, at 32 or 40 bytes a step, but not the
+        process's 1 GiB. Never run these without the cap: they would fill the machine."""
+        steps = _physical_memory() // 64
+        (tmp_path / "spec.json").write_text('{"stages": [{"steps": %d, "amplitude": 1.0, "tau": 10.0}]}' % steps)
+        argv = [str(tmp_path / arg) if arg.endswith((".json", ".jsonl")) else arg.format(steps=steps) for arg in argv]
         result = stagemix_process(*argv, preexec_fn=_cap_address_space)
         assert (result.returncode, result.stdout) == (70, "")
         assert re.fullmatch(r"internal error: \w*MemoryError(: [^\n]+)? at \w+\.py:\d+\n", result.stderr)

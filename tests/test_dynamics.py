@@ -16,8 +16,14 @@ from stagemix import (
     spike_frequency,
     stability_summary,
     stage_transition_ratio,
+    generate_manifest,
+    load_loss_trace,
+    read_manifest,
+    save_loss_trace,
     window_stats,
+    write_manifest,
 )
+from stagemix import DatasetSource, ScheduleCondition, StagePlan, dynamics, formats, threads
 from stagemix.dynamics import _block_window_stats
 
 
@@ -192,6 +198,44 @@ def stream_stds(losses, window):
         except TraceError:
             out.append(TraceError)
     return out
+
+
+
+class TestCpuCount:
+    """Chunks of the window kernel and blocks of the readers run on a thread per usable CPU; what
+    they give does not depend on how many there are."""
+
+    def results(self, tmp_path):
+        rng = np.random.default_rng(8)
+        losses = np.repeat(rng.normal(2.0, 0.5, 900), rng.integers(1, 4, 900))  # runs of equal values too
+        trace = make_trace(losses, stages=np.repeat([1, 2, 3], -(-len(losses) // 3))[: len(losses)])
+        save_loss_trace(trace, tmp_path / "loss.jsonl")
+        registry = (DatasetSource("alpha", "D0-alignment", 50), DatasetSource("beta", "D1-general", 40))
+        condition = ScheduleCondition("cpus", (StagePlan(1, 300, {"alpha": 1.0}), StagePlan(2, 900, {"beta": 1.0})))
+        write_manifest(generate_manifest(condition, registry, seed=5), tmp_path / "run.jsonl")
+        loaded, manifest = load_loss_trace(tmp_path / "loss.jsonl"), read_manifest(tmp_path / "run.jsonl")
+        out = [loaded.steps, loaded.stages, loaded.losses, manifest.steps, manifest.stages, manifest.dataset_ids]
+        out.append(manifest.instances)
+        for window in (1, 7, 50):
+            stats = window_stats(trace, window)
+            out += [stats.steps, stats.means, stats.stds]
+        summary = stability_summary(trace, 7, spike_window=50)
+        return [array.tobytes() for array in out] + [repr(summary)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_results_are_bit_identical_for_any_cpu_count(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(dynamics, "_CHUNK_CELLS", 2000)  # a chunk of a few blocks: many chunks
+        monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 1 << 10)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: 1)
+        want = self.results(tmp_path)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
+        assert self.results(tmp_path) == want
+        trace = load_loss_trace(tmp_path / "loss.jsonl")
+        for window in (1, 7, 50):
+            stats = window_stats(trace, window)
+            roll = RollingWindow(window)
+            pushed = [(roll.mean, roll.std) for value in trace.losses if roll.push(value)]
+            assert np.array(pushed).tobytes() == np.stack([stats.means, stats.stds], axis=1).tobytes()
 
 
 class TestBlockKernel:

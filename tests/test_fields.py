@@ -22,6 +22,7 @@ from stagemix import (
     ScheduleCondition,
     SimStage,
     StagePlan,
+    UsageError,
     ValidationError,
     builtin_condition,
     builtin_registry,
@@ -312,3 +313,38 @@ def test_only_the_fields_module_tests_for_bool():
     }
     assert found.pop("fields.py"), "the detector no longer finds the rule it guards"
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _machine_with(monkeypatch, memory: int) -> None:
+    sizes = {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(fields.os, "sysconf", sizes.__getitem__)
+
+
+def test_a_budget_is_refused_only_beyond_the_machine_memory(monkeypatch):
+    _machine_with(monkeypatch, 8 << 30)
+    fields.check_budget(1 << 28, 32, "steps")  # exactly 8 GiB
+    message = "^268435457 steps need about 8.0 GiB of memory, more than this machine's 8.0 GiB$"
+    with pytest.raises(UsageError, match=message):
+        fields.check_budget((1 << 28) + 1, 32, "steps")
+
+
+def test_no_budget_is_refused_where_the_memory_is_unknown(monkeypatch):
+    def unknown(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(fields.os, "sysconf", unknown)
+    fields.check_budget(10**30, 1024, "steps")
+
+
+def test_every_simulator_and_the_sampler_check_their_budget_first(monkeypatch):
+    """On a machine of 1 MiB: a run whose output alone needs more is refused, and a sampler taking
+    events a chunk at a time is not."""
+    _machine_with(monkeypatch, 1 << 20)
+    big = ScheduleCondition("big", (StagePlan(1, 10_000, {"alpha": 1.0}), StagePlan(2, 30_000, {"beta": 1.0})))
+    with pytest.raises(UsageError, match="^40000 manifest steps need"):
+        generate_manifest(big, REGISTRY, seed=1)
+    with pytest.raises(UsageError, match="^30000 simulated loss steps need"):
+        synth_loss(LossTraceSpec(stages=(SimStage(1, 30_000, 1.0, 10.0),)))
+    with pytest.raises(UsageError, match="^2001 evaluation snapshots need"):
+        synth_capability(builtin_condition("A", (1000, 500, 500)), CapabilityModelSpec(eval_interval=1))
+    assert len(ManifestSampler(big, REGISTRY, seed=1).take(40_000)) == 40_000

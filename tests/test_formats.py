@@ -21,6 +21,7 @@ from stagemix import (
     FormatError,
     LossTrace,
     Manifest,
+    StagemixError,
     TraceError,
     builtin_condition,
     builtin_registry,
@@ -45,7 +46,7 @@ from stagemix import (
     write_manifest,
     write_trajectory_csv,
 )
-from stagemix import DatasetSource, ScheduleCondition, StagePlan, floattext, formats
+from stagemix import DatasetSource, ScheduleCondition, StagePlan, floattext, formats, threads
 from stagemix.formats import (
     _BLOCK_ROWS,
     EVENT_COLUMNS,
@@ -695,7 +696,8 @@ class TestBlockReader:
         data = path.read_bytes()
         start = data.find(b"\n") + 1
         first_block = data[start : data.rfind(b"\n", start, start + block_bytes) + 1]
-        assert _jsonl_block(np.frombuffer(first_block, dtype=np.uint8), EVENT_COLUMNS)["dataset"][0] == ("zulu",)
+        padded = np.frombuffer(first_block + bytes(formats._PAD), dtype=np.uint8)
+        assert _jsonl_block(padded, EVENT_COLUMNS)["dataset"][0] == ("zulu",)
         names, codes = jsonl_columns(data, EVENT_COLUMNS, start)["dataset"]
         assert names == ("alpha", "mike", "zulu")
         assert [names[i] for i in codes.tolist()] == [manifest.dataset_names[i] for i in manifest.dataset_ids.tolist()]
@@ -731,7 +733,7 @@ class TestBlockReader:
     def test_worker_count_does_not_change_the_columns(self, block_bytes, monkeypatch, tmp_path, cpus):
         files = block_files(tmp_path)
         want = [jsonl_columns(data, columns, start) for columns, _, data, start, _ in files]
-        monkeypatch.setattr(formats, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
         for (columns, _, data, start, _), columns_before in zip(files, want):
             assert_same_columns(jsonl_columns(data, columns, start), columns_before)
 
@@ -789,7 +791,7 @@ class TestStreamedReader:
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_threaded_takes_at_most_two_items_more_than_its_workers(self, monkeypatch, cpus):
-        monkeypatch.setattr(formats, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
         taken = 0
 
         def items():
@@ -799,7 +801,7 @@ class TestStreamedReader:
                 yield item
 
         results, held = [], []
-        for result in formats._threaded(lambda item: item * 2, items()):
+        for result in threads._threaded(lambda item: item * 2, items()):
             results.append(result)
             held.append(taken - len(results) + 1)  # taken and not yet done with, this one included
         assert results == [item * 2 for item in range(40)]
@@ -807,16 +809,16 @@ class TestStreamedReader:
 
     @pytest.mark.parametrize("items", [[], [7]])
     def test_threaded_runs_fewer_than_two_items_inline(self, items):
-        threads = []
-        results = list(formats._threaded(lambda item: threads.append(threading.get_ident()) or item, iter(items)))
+        idents = []
+        results = list(threads._threaded(lambda item: idents.append(threading.get_ident()) or item, iter(items)))
         assert results == items
-        assert threads == [threading.get_ident()] * len(items)
+        assert idents == [threading.get_ident()] * len(items)
 
     @pytest.mark.parametrize("load", [read_manifest, load_loss_trace])
     def test_reading_holds_less_than_the_file(self, monkeypatch, tmp_path, load):
         # about 4 MB in blocks of 64 KB on two threads: what stays is the columns and a few blocks
         monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 1 << 16)
-        monkeypatch.setattr(formats, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: 2)
         path = tmp_path / "file.jsonl"
         if load is read_manifest:
             registry = tuple(DatasetSource(source.name, source.group, 50_000) for source in SMALL_REGISTRY)
@@ -838,11 +840,147 @@ class TestStreamedReader:
         assert peak < size
 
 
+
+def load_outcome(load, path):
+    """What a loader makes of a file: its columns' bytes, or its error's type and message."""
+    try:
+        got = load(path)
+    except StagemixError as err:
+        return type(err).__name__, str(err)
+    if isinstance(got, LossTrace):
+        return got.steps.tobytes(), got.stages.tobytes(), got.losses.tobytes()
+    return got.dataset_names, list(got.events())
+
+
+def general_outcome(monkeypatch, load, path):
+    """load_outcome with the column reader turned off, so that the general path reads every file."""
+    with monkeypatch.context() as general_only:
+        general_only.setattr(formats, "_jsonl_columns", lambda handle, columns: None)
+        return load_outcome(load, path)
+
+
+# Integer tokens of each width around the reader's words of 8 bytes, and the int64 edges.
+WIDE_INTS = [str(int("9" * d)) for d in (1, 8, 9, 16, 17, 18, 19)] + [str(10 ** (d - 1)) for d in (2, 8, 9, 16, 17, 18, 19)]
+INT64_EDGES = [str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1)]
+# Tokens the column reader refuses, at each word: a leading zero before 1, 2 and 3 words of
+# digits, and a non-digit byte at each end of each word of an 18-digit integer.
+BROKEN_INTS = ["01", "0" + "1" * 8, "0" + "1" * 16] + [
+    "123456789012345678"[:at] + byte + "123456789012345678"[at + 1 :]
+    for at in (0, 7, 8, 15, 16, 17)
+    for byte in "/:a.e"
+]
+
+
+class TestWordBoundaries:
+    """The column reader reads tokens and tags in words of 8 bytes, some of them past a token's end:
+    wherever a token ends, in a block or in the file, it reads what the general path reads."""
+
+    @pytest.fixture(params=[64, 1 << 20], ids=["line-blocks", "one-block"])
+    def block_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", request.param)
+        return request.param
+
+    def manifest_with_instances(self, path, token: str) -> bytes:
+        """A manifest whose instance tokens, the last of each line, are all `token`."""
+        write_manifest(generate_manifest(SMALL_CONDITION, SMALL_REGISTRY, seed=3), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1:] = [line[: line.rindex(b":") + 1] + token.encode() + b"}\n" for line in lines[1:]]
+        path.write_bytes(b"".join(lines))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("token", WIDE_INTS + INT64_EDGES + BROKEN_INTS)
+    def test_integer_tokens_read_as_the_general_path_reads_them(self, block_bytes, monkeypatch, tmp_path, token):
+        path = tmp_path / "run.jsonl"
+        data = self.manifest_with_instances(path, token)
+        start = data.find(b"\n") + 1
+        fast = jsonl_columns(data, EVENT_COLUMNS, start)
+        digits = token.isdigit() and len(token) <= 18 and (token == "0" or token[0] != "0")
+        assert (fast is not None) == digits
+        if fast is not None:
+            assert_same_columns(fast, general_columns(data, EVENT_COLUMNS, first=1))
+            assert fast["instance"].tolist() == [int(token)] * 12
+        assert load_outcome(read_manifest, path) == general_outcome(monkeypatch, read_manifest, path)
+        log = tmp_path / "loss.jsonl"  # the token as the first step of a loss log, then as its first line's stage
+        for line in (b'{"step":%s,"stage":1,"loss":0.5}\n', b'{"step":0,"stage":%s,"loss":0.5}\n'):
+            log.write_bytes(line % token.encode() + b"".join(b'{"step":%d,"stage":9,"loss":1.5}\n' % (10**19 + i) for i in range(3)))
+            assert load_outcome(load_loss_trace, log) == general_outcome(monkeypatch, load_loss_trace, log)
+
+    @pytest.mark.parametrize("token", WIDE_INTS + INT64_EDGES + BROKEN_INTS)
+    def test_integer_cells_of_a_csv_log_follow_the_same_rule(self, tmp_path, token):
+        # the cell is the last of the buffer that the step column parser reads
+        path = tmp_path / "loss.csv"
+        path.write_text(f"step,loss\n{token},0.5\n")
+        (tmp_path / "loss.stages.json").write_text('{"boundaries": [{"stage": 1, "start_step": -9223372036854775808}]}')
+        value = formats._csv_value(token)
+        message = formats.fields.problem(value, "step")
+        if message is None:
+            assert load_loss_trace(path).steps.tolist() == [value]
+        else:
+            with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: row 2 {message}')}$"):
+                load_loss_trace(path)
+
+    @pytest.mark.parametrize("length", [6, 7, 14, 15, 22, 23, 30, 38])
+    def test_dataset_names_of_each_width(self, block_bytes, tmp_path, length):
+        # quoted, these names are 8 to 40 bytes long, and each pair shares all but its last word
+        names = ["n" * (length - 1) + "a", "n" * (length - 1) + "b", "m" + "n" * (length - 1)]
+        registry = tuple(DatasetSource(name, group, 4) for name, group in zip(names, ["D0-alignment", "D1-general", "D2-reasoning"]))
+        condition = ScheduleCondition(
+            id="wide", stages=(StagePlan(1, 5, {names[0]: 1.0}), StagePlan(2, 20, {names[1]: 0.5, names[2]: 0.5}))
+        )
+        manifest = generate_manifest(condition, registry, seed=4)
+        path = tmp_path / "run.jsonl"
+        write_manifest(manifest, path)
+        data = path.read_bytes()
+        fast = jsonl_columns(data, EVENT_COLUMNS, data.find(b"\n") + 1)
+        assert fast is not None
+        assert_same_columns(fast, general_columns(data, EVENT_COLUMNS, first=1))
+        assert list(read_manifest(path).events()) == list(manifest.events())
+
+
+# Bytes that break a manifest in many ways: structure, numbers, strings, encodings and line ends.
+MANIFEST_TOKENS = [b'"', b",", b":", b"{", b"}", b"\n", b"\r", b"\r\n", b" ", b"0", b"-1", b"1e400", b"1.5", b"true",
+                   b"99999999999999999999", b'"format"', b"\\u00e9", b"\\ud800", b"\xff", b"\xc3\xa9", b"\x00"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 1 << 16),
+            st.sampled_from(["insert", "replace", "delete"]),
+            st.one_of(st.sampled_from(MANIFEST_TOKENS), st.binary(min_size=1, max_size=1)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    block_bytes=st.sampled_from([64, 1 << 20]),
+)
+def test_a_mutated_manifest_raises_only_toolkit_errors(tmp_path_factory, edits, block_bytes):
+    """read_manifest and read_manifest_header on the writer's bytes with up to three edits: a
+    manifest or its header, or a StagemixError, never another exception."""
+    path = tmp_path_factory.mktemp("fuzz") / "run.jsonl"
+    write_manifest(generate_manifest(SMALL_CONDITION, SMALL_REGISTRY, seed=3), path)
+    data = path.read_bytes()
+    for at, how, token in edits:
+        at %= len(data) + 1
+        data = data[:at] + (b"" if how == "delete" else token) + data[at + (0 if how == "insert" else len(token)) :]
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_READ_BLOCK_BYTES", block_bytes)
+        for read in (read_manifest, read_manifest_header):
+            try:
+                read(path)
+            except StagemixError:
+                pass
+
+
 def test_importing_the_cli_loads_no_thread_pool():
-    code = "import sys, stagemix.cli; print('concurrent.futures' in sys.modules)"
+    # the start-up a command pays: the thread pool behind threads._threaded is imported on first use
+    code = "import sys, stagemix.cli; stagemix.cli.build_parser(); print(*map(sys.modules.__contains__, sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).resolve().parents[1]))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (result.returncode, result.stdout) == (0, "False\n")
+    argv = [sys.executable, "-c", code, "stagemix.threads", "concurrent.futures"]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "True False\n")
 
 
 def template_write_manifest(manifest, path):
@@ -955,7 +1093,7 @@ class TestColumnWriter:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_thread_count_does_not_change_the_bytes(self, monkeypatch, tmp_path, cpus):
-        monkeypatch.setattr(formats, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
         rng = np.random.default_rng(cpus)
         names = tuple(WRITER_NAMES)
         for rows in WRITER_ROWS:

@@ -1,10 +1,12 @@
+import functools
 import hashlib
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagemix import (
@@ -14,6 +16,7 @@ from stagemix import (
     InvalidScheduleError,
     ManifestSampler,
     ScheduleCondition,
+    StagemixError,
     StagePlan,
     ValidationError,
     builtin_condition,
@@ -23,7 +26,7 @@ from stagemix import (
     registry_digest,
     write_manifest,
 )
-from stagemix.sampling import _permutation
+from stagemix.sampling import STATE_FORMAT, _permutation
 
 TOY_REGISTRY = (
     DatasetSource("alpha", "D0-alignment", 5),
@@ -227,6 +230,56 @@ class TestResume:
         state["draws"]["alpha"] = 99
         with pytest.raises(ValidationError, match="exceeds"):
             ManifestSampler.from_state(state)
+
+
+
+# Any JSON value, for a mutated state to hold in place of one of its own.
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([0, 1, -1, 7, 12, 2**63, 2**64, 10**30]),
+        st.floats(),
+        st.text(max_size=6),
+        st.sampled_from(["alpha", "D0-alignment", "sha256:", STATE_FORMAT, GENERATOR_ID]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    """The path to every value inside a JSON document, its root () first."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_mutated_state_raises_only_toolkit_errors(data):
+    """ManifestSampler.from_state on a state with up to three values replaced, deleted or moved to
+    another key: a sampler that resumes, or a StagemixError, never another exception."""
+    sampler = ManifestSampler(TOY_CONDITION, TOY_REGISTRY, 7)
+    sampler.take(5)
+    state = json.loads(json.dumps(sampler.state()))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        path = data.draw(st.sampled_from(list(_paths(state))[1:]), label="path")
+        parent = functools.reduce(operator.getitem, path[:-1], state)
+        how = data.draw(st.sampled_from(["replace", "delete", "rename"]), label="how")
+        if how == "replace":
+            parent[path[-1]] = data.draw(_JSON_VALUES, label="value")
+        else:
+            value = parent.pop(path[-1])
+            if how == "rename" and isinstance(parent, dict):
+                parent[data.draw(st.text(max_size=6), label="key")] = value
+    try:
+        resumed = ManifestSampler.from_state(state)
+    except StagemixError:
+        return
+    resumed.take(min(resumed.events_remaining, 3))
 
 
 class TestInstancePermutations:

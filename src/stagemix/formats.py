@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fields, floattext
-from .threads import _threaded
 from .dynamics import LossTrace
 from .errors import EvalDataError, FormatError, TraceError
 from .metrics import (
@@ -52,6 +51,7 @@ from .schedule import (
     registry_from_list,
 )
 from .simulate import CapabilityModelSpec, Injection, LossTraceSpec, SimStage
+from .threads import _threaded
 
 SCHEDULE_FORMAT = "stagemix-schedule/v1"
 
@@ -168,7 +168,7 @@ def _object_columns(path, lines: list[str], objects: list, columns: dict, first:
 
 # Bytes per block of _jsonl_columns: about this many bytes of whole lines.
 _READ_BLOCK_BYTES = 1 << 20
-_PAD = 8  # bytes after each buffer that the token parsers read: a word read at any offset in it fits
+_PAD = 8  # bytes after each buffer the token parsers read, so that a word at any offset of it is in memory
 
 
 def _line_blocks(handle):
@@ -327,13 +327,14 @@ _NUMBER_BYTES[list(b"0123456789+-.eE,")] = True
 
 
 def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
-    values, left = (  # where no token fits floattext.parse's lanes of 24 bytes, all of them are left
-        (np.empty(len(begins)), np.arange(len(begins))) if lengths.min() > 24 else floattext.parse(buf, begins, lengths)
-    )
+    if lengths.min() > 24:  # no token fits floattext.parse's lanes of 24 bytes: all of them are left
+        values, left = np.empty(len(begins)), np.arange(len(begins))
+    else:
+        values, left = floattext.parse(buf, begins, lengths)
     if len(left):
-        # The tokens parse leaves, each joined with the delimiter after it, which becomes the comma (or
-        # the closing bracket) of one JSON array: JSON's own grammar and rounding decide them, as on the
-        # general path.
+        # The tokens parse leaves, each joined with the delimiter after it, which becomes the comma
+        # (or the closing bracket) of one JSON array, so that JSON's own grammar and rounding
+        # decide them, as on the general path.
         sizes = lengths[left] + 1
         stops = np.cumsum(sizes)
         joined = buf[np.arange(stops[-1]) + np.repeat(begins[left] + sizes - stops, sizes)]

@@ -193,15 +193,8 @@ def _line_blocks(handle):
             if filled:
                 yield np.frombuffer(buf, dtype=np.uint8, count=filled + _PAD)
             return
-        pieces = [memoryview(buf)[:filled]]  # a line longer than a block: read on to its end
-        tail = b""
-        while chunk := handle.read(_READ_BLOCK_BYTES):
-            cut = chunk.find(b"\n") + 1
-            pieces.append(chunk[:cut] if cut else chunk)
-            if cut:
-                tail = chunk[cut:]
-                break
-        yield np.frombuffer(b"".join(pieces + [bytes(_PAD)]), dtype=np.uint8)
+        tail = b""  # a line longer than a block: read on to its end
+        yield np.frombuffer(b"".join([memoryview(buf)[:filled], handle.readline(), bytes(_PAD)]), dtype=np.uint8)
 
 
 def _jsonl_columns(handle, columns: dict) -> dict | None:

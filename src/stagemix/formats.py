@@ -22,6 +22,7 @@ decimal.Decimal, so score CSV/JSONL round trips are bit-exact.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 from decimal import Decimal
@@ -102,8 +103,8 @@ def _parse(path, text: str, line: int | None = None):
         raise FormatError(f"{path}: {f'line {line} is not' if line else 'not'} valid JSON ({err})") from None
 
 
-def _jsonl_objects(path, lines: list[str]) -> list:
-    """The JSON value on each non-blank line of a file split by _lines: exactly one per line.
+def _jsonl_objects(path, lines: list[str], before: int = 0) -> list:
+    """The JSON value on each non-blank line of a file split by _lines, `before` lines into it: exactly one per line.
 
     One json.loads of the lines joined with ",\\n" parses them, twice as fast as
     a call per line: no JSON string holds a raw newline, so none runs on into the
@@ -120,12 +121,12 @@ def _jsonl_objects(path, lines: list[str]) -> list:
             return values
     except (ValueError, RecursionError):
         pass
-    return [_parse(path, line, number) for number, line in enumerate(lines, 1) if line.strip()]
+    return [_parse(path, line, number) for number, line in enumerate(lines, before + 1) if line.strip()]
 
 
-def _line_number(lines: list[str], index: int) -> int:
-    """The 1-based file line of the index-th non-blank line, as _jsonl_objects counts them."""
-    numbers = (number for number, line in enumerate(lines, 1) if line.strip())
+def _line_number(lines: list[str], index: int, before: int = 0) -> int:
+    """The file line of the index-th non-blank line, as _jsonl_objects numbers them."""
+    numbers = (number for number, line in enumerate(lines, before + 1) if line.strip())
     return next(itertools.islice(numbers, index, None))
 
 
@@ -137,23 +138,20 @@ LOSS_COLUMNS = {"step": int, "stage": int, "loss": float}
 EVENT_COLUMNS = {"step": int, "stage": int, "dataset": str, "instance": int}
 
 
-def _object_columns(path, lines: list[str], objects: list, columns: dict, first: int = 0) -> dict:
-    """Columns from parsed JSONL values, checking every record's fields.
-
-    objects[first:] are the records; errors name the file line they sit on.
-    """
-    records = objects[first:]
+def _object_columns(path, lines: list[str], records: list, columns: dict, before: int = 0) -> dict:
+    """Columns from the JSONL values _jsonl_objects(path, lines, before) gives, checking every record's
+    fields; errors name the file line a record sits on."""
     out = {}
     for key, kind in columns.items():
         try:
             values = [record[key] for record in records]
         except (KeyError, TypeError):
             at = next(i for i, r in enumerate(records) if not isinstance(r, dict) or key not in r)
-            raise FormatError(f"{path}: line {_line_number(lines, first + at)} needs {'/'.join(columns)}") from None
+            raise FormatError(f"{path}: line {_line_number(lines, at, before)} needs {'/'.join(columns)}") from None
         allowed = fields.JSON_TYPES[kind]
         if not set(map(type, values)) <= allowed:
             at = next(i for i, v in enumerate(values) if type(v) not in allowed)
-            raise FormatError(f"{path}: line {_line_number(lines, first + at)} {fields.problem(values[at], key, kind)}")
+            raise FormatError(f"{path}: line {_line_number(lines, at, before)} {fields.problem(values[at], key, kind)}")
         if kind is str:
             out[key] = _factorize(values)
             continue
@@ -162,7 +160,7 @@ def _object_columns(path, lines: list[str], objects: list, columns: dict, first:
             out[key] = np.array(values, dtype=dtype)
         except OverflowError:
             at = next(i for i, v in enumerate(values) if fields.problem(v, key, kind))
-            raise FormatError(f"{path}: line {_line_number(lines, first + at)} {key} is out of range") from None
+            raise FormatError(f"{path}: line {_line_number(lines, at, before)} {key} is out of range") from None
     return out
 
 
@@ -171,13 +169,15 @@ _READ_BLOCK_BYTES = 1 << 20
 _PAD = 8  # bytes after each buffer the token parsers read, so that a word at any offset of it is in memory
 
 
-def _line_blocks(handle):
-    """The rest of a binary file as uint8 blocks of whole lines, each in a fresh buffer, then _PAD bytes.
+def _line_blocks(handle, before: int = 0):
+    """The rest of a binary file, `before` lines into it, as (uint8 block of whole lines in a fresh buffer,
+    then _PAD bytes; the count of file lines ahead of the block).
 
     A block holds the lines that end within _READ_BLOCK_BYTES of its start, or,
     when none does, the one line that begins it, however long. The partial line
     after a block begins the next one. An unterminated last line is yielded as it
-    is, so the block that holds it does not end in a newline.
+    is, so the block that holds it does not end in a newline. Blocks end at a
+    \\n, so none splits a \\r\\n or a UTF-8 character.
     """
     tail = b""
     while True:
@@ -187,45 +187,51 @@ def _line_blocks(handle):
         end = buf.rfind(b"\n", 0, filled) + 1
         if end:
             tail = buf[end:filled]
-            yield np.frombuffer(buf, dtype=np.uint8, count=end + _PAD)
-            continue
-        if filled == len(tail):  # the end of the file
-            if filled:
-                yield np.frombuffer(buf, dtype=np.uint8, count=filled + _PAD)
-            return
-        tail = b""  # a line longer than a block: read on to its end
-        yield np.frombuffer(b"".join([memoryview(buf)[:filled], handle.readline(), bytes(_PAD)]), dtype=np.uint8)
+        elif filled == len(tail):  # the end of the file
+            if not filled:
+                return
+            end, tail = filled, b""
+        else:  # a line longer than a block: read on to its end
+            buf = b"".join([memoryview(buf)[:filled], handle.readline(), bytes(_PAD)])
+            end, tail = len(buf) - _PAD, b""
+        yield np.frombuffer(buf, dtype=np.uint8, count=end + _PAD), before
+        before += _line_count(buf, end)
 
 
-def _jsonl_columns(handle, columns: dict) -> dict | None:
-    """Columns of the JSONL lines in the rest of a binary file, read without building a dict per line.
+def _line_count(buf, end: int) -> int:
+    """The line ends in buf[:end], a block of _line_blocks, as _lines finds them. Only the file's last
+    block can end in a line without one, and no block follows it."""
+    count = int(np.count_nonzero(np.frombuffer(buf, dtype=np.uint8, count=end) == ord("\n")))
+    if b"\r" in buf:  # a \r ends a line, unless a \n follows it
+        count += buf.count(b"\r", 0, end) - buf.count(b"\r\n", 0, end)
+    return count
 
-    Handles only the layout the writers here produce: every line is exactly
-    `{"k1":v1,...,"km":vm}\\n` with the keys of `columns` in order, integers
-    as at most 18 digits without a leading zero, and strings in ASCII. Any
-    other file, valid or not, gives None, and the caller reads it with
-    _jsonl_objects and _object_columns, which also report its errors. Both
-    paths give the same columns for every file this one accepts.
 
-    The file is read in blocks of whole lines (_line_blocks), which _jsonl_block
-    parses independently. The first block is parsed here, so a file in another
-    layout is refused after one block; the rest by _threaded as they are read,
-    so that only a few blocks per thread are held at once, never the file. No
-    token may be wider than its block's mean line, so that the words gathered
-    for a column stay within its block's size.
+def _jsonl_columns(path, handle, columns: dict, before: int = 0) -> dict:
+    """Columns of the JSONL lines in the rest of a binary file, `before` lines into it.
+
+    The file is read in blocks of whole lines (_line_blocks), parsed by _threaded
+    as they are read, so that only a few blocks per thread are held at once. A
+    block in the writers' layout is read by _jsonl_block without a dict per line:
+    every line exactly `{"k1":v1,...,"km":vm}\\n` with the keys of `columns` in
+    order, integers of at most 18 digits without a leading zero, strings in
+    ASCII, and no token wider than the block's mean line, so that the words
+    gathered for a column stay within the block's size. Any other block, valid
+    or not, is read by the general rules alone (_lines, _jsonl_objects and
+    _object_columns), its lines numbered on from the file lines ahead of it;
+    they report its errors, and the first block that holds one raises. Both give
+    the same columns for every block _jsonl_block accepts.
     """
-    blocks = _line_blocks(handle)
 
-    def parse(block):
-        return _jsonl_block(block, columns)
-
-    parts = []
-    for part in itertools.chain(map(parse, itertools.islice(blocks, 1)), _threaded(parse, blocks)):
+    def parse(item):
+        block, before = item
+        part = _jsonl_block(block, columns)
         if part is None:
-            return None
-        parts.append(part)
-    if not parts:
-        return None
+            lines = _lines(_decode(path, block[:-_PAD].tobytes()))
+            part = _object_columns(path, lines, _jsonl_objects(path, lines, before), columns, before)
+        return part
+
+    parts = list(_threaded(parse, _line_blocks(handle, before)))
     out = {}
     for key, kind in columns.items():
         if kind is str:  # the sorted union of the blocks' names; each block's codes remapped into it
@@ -234,7 +240,7 @@ def _jsonl_columns(handle, columns: dict) -> dict | None:
             for part in parts:
                 block_names, ids = part[key]
                 part[key] = np.array([index[name] for name in block_names], dtype=np.int64)[ids]
-        column = np.empty(sum(len(part[key]) for part in parts), dtype=parts[0][key].dtype)
+        column = np.empty(sum(len(part[key]) for part in parts), dtype=np.float64 if kind is float else np.int64)
         at = 0
         for part in parts:  # each block's piece is freed once copied
             piece = part.pop(key)
@@ -515,19 +521,28 @@ def _check_manifest_header(path, header) -> dict[int, int]:
     return stage_steps
 
 
-def read_manifest_header(path) -> dict:
-    """The header of a manifest, its first non-blank line as read_manifest takes it,
-    read without the events after it."""
+def _manifest_header(path, handle) -> tuple:
+    """(header, its stage_steps, count of file lines up to it) of a manifest open in binary, whose header is
+    its first non-blank line. The handle is left at that line's end: the bytes of the lines read, re-encoded."""
+    text = io.TextIOWrapper(handle, encoding="utf-8", newline="")  # lines end at \n, \r\n or \r, as in _lines
+    size = 0
     try:
-        with open(path, encoding="utf-8", newline="") as handle:  # lines end at \n, \r\n or \r, as in _lines
-            for number, line in enumerate(handle, 1):
-                if line.strip():
-                    header = _parse(path, line, number)
-                    _check_manifest_header(path, header)
-                    return header
+        for number, line in enumerate(text, 1):
+            size += len(line.encode())
+            if line.strip():
+                text.detach()
+                handle.seek(size)
+                header = _parse(path, line.rstrip("\r\n"), number)
+                return header, _check_manifest_header(path, header), number
     except UnicodeDecodeError as err:
         raise _not_utf8(path, err) from None
     raise FormatError(f"{path}: empty file, expected a manifest header line")
+
+
+def read_manifest_header(path) -> dict:
+    """The header of a manifest, as read_manifest takes it, read without the events after it."""
+    with open(path, "rb") as handle:
+        return _manifest_header(path, handle)[0]
 
 
 def _check_manifest_events(path, stage_steps: dict[int, int], steps: np.ndarray, stages: np.ndarray) -> None:
@@ -549,21 +564,8 @@ def _check_manifest_events(path, stage_steps: dict[int, int], steps: np.ndarray,
 
 def read_manifest(path) -> Manifest:
     with open(path, "rb") as handle:
-        first = handle.readline()
-        try:  # the writers' header line, if it is one line of JSON; else the general path reads the file
-            header = json.loads(first.decode()) if b"\r" not in first else None
-        except (ValueError, RecursionError):
-            header = None
-        columns = _jsonl_columns(handle, EVENT_COLUMNS) if isinstance(header, dict) else None
-    if columns is None:
-        lines = _lines(_read_text(path))
-        objects = _jsonl_objects(path, lines)
-        if not objects:
-            raise FormatError(f"{path}: empty file, expected a manifest header line")
-        header = objects[0]
-    stage_steps = _check_manifest_header(path, header)
-    if columns is None:
-        columns = _object_columns(path, lines, objects, EVENT_COLUMNS, first=1)
+        header, stage_steps, before = _manifest_header(path, handle)
+        columns = _jsonl_columns(path, handle, EVENT_COLUMNS, before)
     _check_manifest_events(path, stage_steps, columns["step"], columns["stage"])
     names, dataset_ids = columns["dataset"]
     return Manifest(
@@ -625,10 +627,7 @@ def load_loss_trace(path) -> LossTrace:
     if str(path).endswith(".csv"):
         return _load_loss_csv(path)
     with open(path, "rb") as handle:
-        columns = _jsonl_columns(handle, LOSS_COLUMNS)
-    if columns is None:
-        lines = _lines(_read_text(path))
-        columns = _object_columns(path, lines, _jsonl_objects(path, lines), LOSS_COLUMNS)
+        columns = _jsonl_columns(path, handle, LOSS_COLUMNS)
     trace = LossTrace(steps=columns["step"], stages=columns["stage"], losses=columns["loss"])
     trace.validate()
     return trace

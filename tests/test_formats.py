@@ -55,6 +55,7 @@ from stagemix.formats import (
     _jsonl_block,
     _jsonl_columns,
     _jsonl_objects,
+    _lines,
     _object_columns,
 )
 from fixtures_data import FINAL_SCORES
@@ -366,17 +367,39 @@ class TestLossTraceFiles:
             load_loss_trace(path)
 
 
+def refused_blocks(monkeypatch) -> list:
+    """Patches _jsonl_block to note, for each block it is given, whether it refused it."""
+    refused = []
+
+    def block(buf, columns):
+        part = _jsonl_block(buf, columns)
+        refused.append(part is None)
+        return part
+
+    monkeypatch.setattr(formats, "_jsonl_block", block)
+    return refused
+
+
 def jsonl_columns(data: bytes, columns, start=0):
-    """The columns as _jsonl_columns reads them from data[start:], an open file positioned at start."""
+    """The columns as _jsonl_columns reads them from data[start:], an open file positioned at start, if
+    _jsonl_block accepted every block; None if it refused any, which the general rules then read."""
     handle = io.BytesIO(data)
     handle.seek(start)
-    return _jsonl_columns(handle, columns)
+    with pytest.MonkeyPatch.context() as patch:
+        refused = refused_blocks(patch)
+        try:
+            got = _jsonl_columns("log.jsonl", handle, columns, data[:start].count(b"\n"))
+        except FormatError:
+            assert any(refused)  # only the general rules raise, on a block _jsonl_block refused
+    return None if any(refused) else got
 
 
-def general_columns(data: bytes, columns, first=0):
-    """The columns as the general JSONL path reads them."""
-    lines = _decode("log.jsonl", data).splitlines()
-    return _object_columns("log.jsonl", lines, _jsonl_objects("log.jsonl", lines), columns, first)
+def general_columns(data: bytes, columns, header=False):
+    """The columns as the general rules read the whole text, after its first non-blank line if `header`."""
+    lines = _lines(_decode("log.jsonl", data))
+    before = next(number for number, line in enumerate(lines, 1) if line.strip()) if header else 0
+    lines = lines[before:]
+    return _object_columns("log.jsonl", lines, _jsonl_objects("log.jsonl", lines, before), columns, before)
 
 
 def assert_same_columns(got, want):
@@ -620,7 +643,7 @@ class TestColumnReader:
         data = path.read_bytes()
         assert b"\\u00e9" in data
         start = data.find(b"\n") + 1
-        general = general_columns(data, EVENT_COLUMNS, first=1)
+        general = general_columns(data, EVENT_COLUMNS, header=True)
         fast = jsonl_columns(data, EVENT_COLUMNS, start)
         # a comma inside a name sends the file the general way
         assert (fast is None) == ("com,ma" in names)
@@ -663,14 +686,14 @@ def random_trace(seed: int, records: int) -> LossTrace:
 
 
 def block_files(tmp_path):
-    """A loss log and a manifest as the writers lay them out: (columns, path, data, start, first line) each."""
+    """A loss log and a manifest as the writers lay them out: (columns, path, data, start, has a header) each."""
     trace_path, manifest_path = tmp_path / "loss.jsonl", tmp_path / "run.jsonl"
     save_loss_trace(random_trace(3, 300), trace_path)
     write_manifest(generate_manifest(LATE_CONDITION, LATE_REGISTRY, seed=11), manifest_path)
     manifest = manifest_path.read_bytes()
     return [
-        (LOSS_COLUMNS, trace_path, trace_path.read_bytes(), 0, 0),
-        (EVENT_COLUMNS, manifest_path, manifest, manifest.find(b"\n") + 1, 1),
+        (LOSS_COLUMNS, trace_path, trace_path.read_bytes(), 0, False),
+        (EVENT_COLUMNS, manifest_path, manifest, manifest.find(b"\n") + 1, True),
     ]
 
 
@@ -683,11 +706,11 @@ class TestBlockReader:
         return request.param
 
     def test_columns_match_general_path(self, block_bytes, tmp_path):
-        for columns, _, data, start, first in block_files(tmp_path):
+        for columns, _, data, start, header in block_files(tmp_path):
             assert len(data) > 50 * block_bytes
             fast = jsonl_columns(data, columns, start)
             assert fast is not None
-            assert_same_columns(fast, general_columns(data, columns, first))
+            assert_same_columns(fast, general_columns(data, columns, header))
 
     def test_names_first_seen_in_later_blocks_get_sorted_codes(self, block_bytes, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -705,8 +728,8 @@ class TestBlockReader:
 
     def test_lines_longer_than_a_block(self, monkeypatch, tmp_path):
         monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 16)  # every line is a block of its own
-        for columns, _, data, start, first in block_files(tmp_path):
-            assert_same_columns(jsonl_columns(data, columns, start), general_columns(data, columns, first))
+        for columns, _, data, start, header in block_files(tmp_path):
+            assert_same_columns(jsonl_columns(data, columns, start), general_columns(data, columns, header))
 
     def test_long_token_is_bounded_by_its_own_block(self, block_bytes):
         # the long line is a block of its own, so its width does not widen the other blocks' matrices
@@ -763,7 +786,7 @@ class TestBlockReader:
         ids=["crlf", "no-final-newline", "non-ascii", "not-utf8", "leading-zero"],
     )
     def test_an_odd_last_line_reads_as_the_general_path_reads_it(self, block_bytes, monkeypatch, tmp_path, odd):
-        # every block but the last is read by the column reader before the file goes the general way
+        # the column reader reads every block but the last, which the general rules read alone
         def outcome(load, path):
             try:
                 got = load(path)
@@ -782,8 +805,73 @@ class TestBlockReader:
             load = load_loss_trace if columns is LOSS_COLUMNS else read_manifest
             got = outcome(load, path)
             with monkeypatch.context() as general_only:
-                general_only.setattr(formats, "_jsonl_columns", lambda handle, columns: None)
+                general_only.setattr(formats, "_jsonl_block", lambda buf, columns: None)
                 assert got == outcome(load, path)
+
+
+def loaded_columns(load, path) -> dict:
+    """A loader's result as the columns _jsonl_columns gives."""
+    got = load(path)
+    if isinstance(got, LossTrace):
+        return {"step": got.steps, "stage": got.stages, "loss": got.losses}
+    return {"step": got.steps, "stage": got.stages, "dataset": (got.dataset_names, got.dataset_ids), "instance": got.instances}
+
+
+# Other layouts of a line, without its end: the line, then what follows it up to the next line.
+ODD_LINES = {
+    "spaced": lambda line: json.dumps(json.loads(line)) + "\n",
+    "crlf": lambda line: line + "\r\n",
+    "cr": lambda line: line + "\r",
+    "blank-lines": lambda line: line + "\n\n \n",
+}
+
+
+class TestBlockFallback:
+    """A block that _jsonl_block refuses is read by the general rules alone, its lines numbered on from
+    the file lines ahead of it, while the blocks around it stay on the column reader."""
+
+    @pytest.mark.parametrize("odd", list(ODD_LINES.values()), ids=list(ODD_LINES))
+    def test_an_odd_middle_reads_as_the_whole_text_reads(self, monkeypatch, tmp_path, odd):
+        monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 256)
+        for columns, path, data, _, header in block_files(tmp_path):
+            lines = data.decode().split("\n")[:-1]
+            middle = range(len(lines) // 3, len(lines) // 2)
+            # a blank line first, so that the line numbers count a line that holds no record
+            pieces = ["\n"] + [odd(line) if i in middle else line + "\n" for i, line in enumerate(lines)]
+            data = "".join(pieces).encode()
+            path.write_bytes(data)
+            load = load_loss_trace if columns is LOSS_COLUMNS else read_manifest
+            refused = refused_blocks(monkeypatch)
+            assert_same_columns(loaded_columns(load, path), general_columns(data, columns, header))
+            assert True in refused and refused.count(False) > 10
+
+            at = len(pieces) * 3 // 4  # a fault in a later block, on the column reader's side of the odd lines
+            for fault in ('"stage":true,"x":', '"stage":01,"x":'):
+                broken = pieces[:at] + [pieces[at].replace('"stage":', fault)] + pieces[at + 1 :]
+                data = "".join(broken).encode()
+                path.write_bytes(data)
+                number = len(_lines("".join(broken[: at + 1])))
+                with pytest.raises(FormatError, match=f"^log.jsonl: line {number} ") as want:
+                    general_columns(data, columns, header)
+                with pytest.raises(FormatError) as got:
+                    load(path)
+                assert str(got.value) == f"{path}: {str(want.value).removeprefix('log.jsonl: ')}"
+
+    def test_of_two_faults_the_first_in_block_order_is_reported(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 256)
+        (_, log, data, _, _), (_, manifest, events, _, _) = block_files(tmp_path)
+        lines = data.splitlines(keepends=True)
+        lines[0] = lines[0].replace(b'"loss":', b'"loss":"x","y":')
+        lines[-1] = lines[-1].replace(b"}", b"\xff}")  # not UTF-8, in the last block
+        log.write_bytes(b"".join(lines))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(log))}: line 1 loss must be a number"):
+            load_loss_trace(log)
+        lines = events.splitlines(keepends=True)
+        lines[0] = lines[0].replace(b'"seed":11', b'"seed":-1')
+        lines[-1] = b'{"step":0,\n'  # not JSON
+        manifest.write_bytes(b"".join(lines))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(manifest))}: manifest header seed"):
+            read_manifest(manifest)
 
 
 class TestStreamedReader:
@@ -814,9 +902,11 @@ class TestStreamedReader:
         assert results == items
         assert idents == [threading.get_ident()] * len(items)
 
+    @pytest.mark.parametrize("spaced", [False, True], ids=["compact", "spaced"])
     @pytest.mark.parametrize("load", [read_manifest, load_loss_trace])
-    def test_reading_holds_less_than_the_file(self, monkeypatch, tmp_path, load):
-        # about 4 MB in blocks of 64 KB on two threads: what stays is the columns and a few blocks
+    def test_reading_holds_less_than_the_file(self, monkeypatch, tmp_path, load, spaced):
+        # about 4 MB in blocks of 64 KB on two threads: what stays is the columns and a few blocks, read by
+        # the column reader, or, in json.dumps's default layout, by the general rules a block at a time
         monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 1 << 16)
         monkeypatch.setattr(threads, "_usable_cpus", lambda: 2)
         path = tmp_path / "file.jsonl"
@@ -828,6 +918,8 @@ class TestStreamedReader:
             write_manifest(generate_manifest(condition, registry, seed=3), path)
         else:
             save_loss_trace(random_trace(3, 80_000), path)
+        if spaced:
+            path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in path.read_text().splitlines()))
         load(path)  # tables built on first use stay out of the measure
         tracemalloc.start()
         try:
@@ -853,9 +945,9 @@ def load_outcome(load, path):
 
 
 def general_outcome(monkeypatch, load, path):
-    """load_outcome with the column reader turned off, so that the general path reads every file."""
+    """load_outcome with _jsonl_block refusing every block, so that the general rules read every block."""
     with monkeypatch.context() as general_only:
-        general_only.setattr(formats, "_jsonl_columns", lambda handle, columns: None)
+        general_only.setattr(formats, "_jsonl_block", lambda buf, columns: None)
         return load_outcome(load, path)
 
 
@@ -897,7 +989,7 @@ class TestWordBoundaries:
         digits = token.isdigit() and len(token) <= 18 and (token == "0" or token[0] != "0")
         assert (fast is not None) == digits
         if fast is not None:
-            assert_same_columns(fast, general_columns(data, EVENT_COLUMNS, first=1))
+            assert_same_columns(fast, general_columns(data, EVENT_COLUMNS, header=True))
             assert fast["instance"].tolist() == [int(token)] * 12
         assert load_outcome(read_manifest, path) == general_outcome(monkeypatch, read_manifest, path)
         log = tmp_path / "loss.jsonl"  # the token as the first step of a loss log, then as its first line's stage
@@ -933,7 +1025,7 @@ class TestWordBoundaries:
         data = path.read_bytes()
         fast = jsonl_columns(data, EVENT_COLUMNS, data.find(b"\n") + 1)
         assert fast is not None
-        assert_same_columns(fast, general_columns(data, EVENT_COLUMNS, first=1))
+        assert_same_columns(fast, general_columns(data, EVENT_COLUMNS, header=True))
         assert list(read_manifest(path).events()) == list(manifest.events())
 
 
@@ -1019,7 +1111,7 @@ def fast_or_general(data: bytes, columns, start: int, fast_expected: bool):
     """The columns as _jsonl_columns reads them, which it must when `fast_expected`, else the general path's."""
     fast = jsonl_columns(data, columns, start)
     assert fast_expected <= (fast is not None)
-    return fast if fast is not None else general_columns(data, columns, first=1 if start else 0)
+    return fast if fast is not None else general_columns(data, columns, header=bool(start))
 
 
 def writer_records(*kinds):

@@ -238,3 +238,21 @@ def test_only_the_formats_module_parses_json():
     assert found.pop("formats.py"), "the detector no longer finds the reader it guards"
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert [name for name, source in sources.items() if "splitlines" in source] == []
+
+
+def _called_names(function):
+    """The names that a function's calls call: f of f(...) and m of x.m(...)."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            yield getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def test_the_column_loaders_have_no_whole_file_read():
+    """read_manifest, read_manifest_header and load_loss_trace read a file in blocks and nothing else:
+    none calls _read_text, read_bytes or read_text, so no whole-file path can come back."""
+    tree = ast.parse((PACKAGE / "formats.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    whole_file = {"_read_text", "read_bytes", "read_text"}
+    assert whole_file & set(_called_names(functions["load_json"])), "the detector no longer finds a whole-file read"
+    for name in ("read_manifest", "read_manifest_header", "load_loss_trace"):
+        assert whole_file.isdisjoint(_called_names(functions[name])), name

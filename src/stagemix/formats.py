@@ -523,20 +523,26 @@ def _check_manifest_header(path, header) -> dict[int, int]:
 
 def _manifest_header(path, handle) -> tuple:
     """(header, its stage_steps, count of file lines up to it) of a manifest open in binary, whose header is
-    its first non-blank line. The handle is left at that line's end: the bytes of the lines read, re-encoded."""
-    text = io.TextIOWrapper(handle, encoding="utf-8", newline="")  # lines end at \n, \r\n or \r, as in _lines
-    size = 0
-    try:
-        for number, line in enumerate(text, 1):
-            size += len(line.encode())
-            if line.strip():
-                text.detach()
-                handle.seek(size)
-                header = _parse(path, line.rstrip("\r\n"), number)
-                return header, _check_manifest_header(path, header), number
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
-    raise FormatError(f"{path}: empty file, expected a manifest header line")
+    its first non-blank line. Lines end at \\n, \\r\\n or \\r, as in _lines. Only the lines up to the header are
+    decoded, so a fault in the header is reported before any in the events; the handle is left at its end."""
+    buf = bytearray()
+    at = number = 0  # the offset in buf of the line, and its number
+    while True:
+        cut = min((i for i in (buf.find(b"\r", at), buf.find(b"\n", at)) if i >= 0), default=len(buf))
+        if cut >= len(buf) - 1:  # no line end yet, or a \r that may begin a \r\n
+            more = handle.read(max(io.DEFAULT_BUFFER_SIZE, len(buf)))
+            if more:
+                buf += more
+                continue
+            if at == len(buf):
+                raise FormatError(f"{path}: empty file, expected a manifest header line")
+        number += 1
+        line = _decode(path, buf[at:cut])
+        at = cut + (1 + (buf[cut : cut + 2] == b"\r\n") if cut < len(buf) else 0)
+        if line.strip():
+            handle.seek(at)
+            header = _parse(path, line, number)
+            return header, _check_manifest_header(path, header), number
 
 
 def read_manifest_header(path) -> dict:

@@ -12,17 +12,20 @@ on how many draws came before it in wall-clock terms:
 * Instance choice: dataset d (lexicographic rank r among registry names) owns
   the stream keyed (seed, 1 + r). Its pool is walked in concatenated full
   permutations; permutation k is the stable argsort of pool-size raw words
-  read at offset k * size. It is computed with numpy's default sort, and a
-  tie among the words goes to the stable sort, so the bytes never depend on
-  the sort algorithm. Draw j from the dataset yields instance
-  perm[j % size] of permutation j // size, so every instance appears exactly
-  once per pass.
+  read at offset k * size. It is computed with numpy's default sort; a
+  permutation that nothing reads past some entry (the last one of a
+  schedule) is only selected up to it by argpartition and that prefix
+  sorted. A tie among the words goes to the stable sort either way, so the
+  bytes never depend on the algorithm. Draw j from the dataset yields
+  instance perm[j % size] of permutation j // size, so every instance
+  appears exactly once per pass.
 
 Because every word is addressed by offset, the events of steps
 [step, step + count) are a pure function of the seed, `step` and the
 per-dataset draw counts before `step`. One kernel, `ManifestSampler._draw`,
 computes such a chunk and advances the counts: `generate_manifest` runs it
-once over the whole schedule, and the sampler runs it chunk by chunk.
+once over the whole schedule, each dataset's instances on a thread of
+threads._threaded, and the sampler runs it chunk by chunk on its caller's.
 
 Sampler state is the seed, the next step and the per-dataset draw counts,
 plus the whole condition and registry it samples from (and the registry
@@ -50,6 +53,7 @@ from .schedule import (
     registry_digest,
     registry_from_list,
 )
+from .threads import _threaded
 
 GENERATOR_ID = "philox4x64/choice-u53-invcdf/perm-argsort/v1"
 MANIFEST_FORMAT = "stagemix-manifest/v1"
@@ -77,44 +81,52 @@ def _uniforms(seed: int, tag: int, offset: int, count: int) -> np.ndarray:
     return (_raw_words(seed, tag, offset, count) >> np.uint64(11)) * _U53_SCALE
 
 
-def _permutation(words: np.ndarray) -> np.ndarray:
-    """The stable argsort of `words`, computed with numpy's default sort.
+def _permutation(words: np.ndarray, need: int | None = None) -> np.ndarray:
+    """The first `need` entries (all by default) of the stable argsort of `words`.
 
-    Without two equal words the sorting permutation is unique, so any
-    correct sort gives the stable one; a tie, and only a tie, goes to the
-    stable sort itself.
+    A prefix is selected by argpartition and only it is sorted; the whole is
+    sorted with numpy's default sort. Without two equal words among the
+    entries returned, and without a word outside them equal to the last, the
+    result is the stable one whatever the algorithm; a tie, and only a tie,
+    goes to the stable sort itself.
     """
-    perm = np.argsort(words)
+    size = len(words)
+    need = size if need is None else need
+    if need < size:
+        perm = np.argpartition(words, need - 1)[:need]
+        perm = perm[np.argsort(words[perm])]
+    else:
+        perm = np.argsort(words)
     ranked = words[perm]
-    if np.any(ranked[1:] == ranked[:-1]):
-        return np.argsort(words, kind="stable")
+    if np.any(ranked[1:] == ranked[:-1]) or (need < size and np.count_nonzero(words <= ranked[-1]) != need):
+        return np.argsort(words, kind="stable")[:need]
     return perm
 
 
-def _instance_block(
-    seed: int, tag: int, size: int, start: int, count: int, perms: dict
-) -> np.ndarray:
-    """Instances for draws [start, start + count) of one dataset's stream.
+def _instance_block(seed: int, tag: int, size: int, start: int, count: int, perms: dict | None):
+    """Instances for draws [start, start + count) of one dataset's stream, as
+    (offset among those draws, instances) pieces: a view of each permutation read.
 
     `perms` maps tag -> (refill, perm) for the last permutation sorted, so a
-    run of small blocks sorts each permutation once.
+    run of small blocks sorts each permutation once. With `perms` None nothing
+    draws after this block: no permutation is kept, and one read only in part
+    is sorted only up to the last entry read.
     """
-    out = np.empty(count, dtype=np.int64)
     filled = 0
     draw = start
     while filled < count:
         refill, pos = divmod(draw, size)
         take = min(size - pos, count - filled)
-        last = perms.get(tag)
+        last = None if perms is None else perms.get(tag)
         if last is None or last[0] != refill:
-            last = perms[tag] = (
-                refill,
-                _permutation(_raw_words(seed, tag, refill * size, size)),
-            )
-        out[filled : filled + take] = last[1][pos : pos + take]
+            words = _raw_words(seed, tag, refill * size, size)
+            if perms is None:
+                last = (refill, _permutation(words, pos + take))
+            else:
+                last = perms[tag] = (refill, _permutation(words))
+        yield filled, last[1][pos : pos + take]
         filled += take
         draw += take
-    return out
 
 
 class ManifestEvent(NamedTuple):
@@ -273,20 +285,26 @@ class ManifestSampler:
             hi = min(end, sl.start + sl.steps)
             if lo >= hi:
                 continue
-            u = _uniforms(self.seed, _CHOICE_TAG, lo, hi - lo)
-            pos = np.searchsorted(sl.boundaries, u, side="right")
             stages[lo - start : hi - start] = sl.index
-            gids[lo - start : hi - start] = sl.global_ids[pos]
+            # One expression: no local holds a stage's uniforms through the instance draws.
+            gids[lo - start : hi - start] = sl.global_ids[
+                np.searchsorted(sl.boundaries, _uniforms(self.seed, _CHOICE_TAG, lo, hi - lo), side="right")
+            ]
         instances = np.empty(count, dtype=np.int64)
-        for gid, size in enumerate(self._sizes):
+        # Nothing draws after the schedule's last step: keep no permutation then.
+        perms = self._perms if end < self._total else None
+
+        def block(gid: int) -> int:
+            """Fill dataset gid's positions of instances; its count of draws. No two datasets share a
+            position or a key of perms, so their blocks may run on threads at once."""
             where = np.flatnonzero(gids == gid)
-            if len(where):
-                # Nothing draws after the schedule's last step: keep no permutation then.
-                perms = self._perms if end < self._total else {}
-                instances[where] = _instance_block(
-                    self.seed, 1 + gid, size, self._drawn[gid], len(where), perms
-                )
-                self._drawn[gid] += len(where)
+            for at, piece in _instance_block(self.seed, 1 + gid, self._sizes[gid], self._drawn[gid], len(where), perms):
+                instances[where[at : at + len(piece)]] = piece
+            return len(where)
+
+        # take and next_event draw _CHUNK steps at a time, on the caller's thread.
+        drawn = list((_threaded if count > self._CHUNK else map)(block, range(len(self._sizes))))
+        self._drawn = [before + more for before, more in zip(self._drawn, drawn)]
         self._step = end
         return stages, gids, instances
 

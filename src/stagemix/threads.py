@@ -1,4 +1,4 @@
-"""Numpy work on a thread per usable CPU, for the file formats and the window kernel."""
+"""Numpy work on a thread per usable CPU, for the file formats, the window kernel and the manifest sampler."""
 
 import itertools
 import os

@@ -156,6 +156,26 @@ class TestLineRule:
             with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 1 is not valid JSON"):
                 read(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("at", [100, 20_000])
+    def test_a_bad_header_is_reported_before_a_byte_of_the_events_that_is_not_utf8(self, tmp_path, at, end):
+        # only the header line is decoded before it is checked, wherever the bad byte sits after it
+        stages = (StagePlan(1, 400, {"alpha": 1.0}), StagePlan(2, 0, {"alpha": 1.0}))
+        manifest = generate_manifest(ScheduleCondition("solo", stages), (DatasetSource("alpha", "D0-alignment", 7),), 5)
+        path = tmp_path / "run.jsonl"
+        formats.write_manifest(manifest, path)
+        header, events = path.read_bytes().split(b"\n", 1)
+        assert len(events) > 20_000
+        header = re.sub(rb'"seed":\d+', b'"seed":-1', header)
+        path.write_bytes(end.encode() + (header + b"\n" + events[:at] + b"\xff" + events[at + 1 :]).replace(b"\n", end.encode()))
+        for read in (read_manifest, read_manifest_header):
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: manifest header seed"):
+                read(path)
+        path.write_bytes(path.read_bytes().replace(b'"seed":-1', b'"seed":5'))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read_manifest(path)
+        assert read_manifest_header(path) == manifest.header()
+
 
 # (loader, file name, file text, the line its error names); the sidecar is read through loss.csv.
 DEEP_FILES = {
@@ -256,3 +276,15 @@ def test_the_column_loaders_have_no_whole_file_read():
     assert whole_file & set(_called_names(functions["load_json"])), "the detector no longer finds a whole-file read"
     for name in ("read_manifest", "read_manifest_header", "load_loss_trace"):
         assert whole_file.isdisjoint(_called_names(functions[name])), name
+
+
+def test_only_the_threads_module_builds_a_thread_pool():
+    """One pool: threads._threaded. No other module starts threads its own way, so the file formats, the
+    window kernel and the sampler share it and its one thread per usable CPU."""
+    builders = {"ThreadPoolExecutor", "Thread"}
+    found = {
+        path.name: builders & set(_called_names(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("threads.py"), "the detector no longer finds the pool it guards"
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -1,7 +1,9 @@
 import functools
 import hashlib
+import itertools
 import json
 import operator
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from stagemix import (
     registry_digest,
     write_manifest,
 )
+from stagemix import sampling, threads
 from stagemix.sampling import STATE_FORMAT, _permutation
 
 TOY_REGISTRY = (
@@ -348,6 +351,84 @@ class TestPermutation:
         duplicate = rng.random(size) < share
         words[duplicate] = np.array(values, dtype=np.uint64)[rng.integers(0, len(values), duplicate.sum())]
         assert np.array_equal(_permutation(words), np.argsort(words, kind="stable"))
+
+    @given(
+        size=st.one_of(st.integers(2, 64), st.just(10_000)),
+        values=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        tie=st.sampled_from(["inside", "across", "both"]),
+    )
+    def test_a_prefix_equals_the_stable_argsorts_prefix(self, size, values, share, seed, tie):
+        # Words as above, then for each length a tie made within the prefix, across its cut, or both.
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 2**64, size, dtype=np.uint64)
+        duplicate = rng.random(size) < share
+        words[duplicate] = np.array(values, dtype=np.uint64)[rng.integers(0, len(values), duplicate.sum())]
+        for need in (1, size // 2, size - 1, size):
+            tied = words.copy()
+            order = np.argsort(tied, kind="stable")
+            if tie != "across" and need >= 2:
+                tied[order[need - 2]] = tied[order[need - 1]]
+            if tie != "inside" and need < size:
+                tied[order[need]] = tied[order[need - 1]]
+            assert np.array_equal(_permutation(tied, need), np.argsort(tied, kind="stable")[:need])
+
+
+class TestThreadedDraws:
+    """A whole manifest draws each dataset on a thread and sorts only the part of a permutation that
+    is read; neither changes a value."""
+
+    CONDITION = builtin_condition("B", (1000, 30000, 30000))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_columns_do_not_depend_on_the_cpu_count(self, monkeypatch, cpus):
+        # the reference: the sampler's chunks, on the caller's thread, every permutation fully sorted
+        registry = builtin_registry()
+        sampler = ManifestSampler(self.CONDITION, registry, 7)
+        events = sampler.take(sampler.total_steps)
+        monkeypatch.setattr(threads, "_usable_cpus", lambda: cpus)
+        manifest = generate_manifest(self.CONDITION, registry, 7)
+        assert manifest.stages.tolist() == [event.stage for event in events]
+        assert [manifest.dataset_names[i] for i in manifest.dataset_ids] == [event.dataset for event in events]
+        assert manifest.instances.tolist() == [event.instance for event in events]
+
+    def test_only_a_whole_manifest_draws_on_threads(self, monkeypatch):
+        idents = []
+
+        def block(*args):
+            idents.append(threading.get_ident())
+            return instance_block(*args)
+
+        instance_block = sampling._instance_block
+        monkeypatch.setattr(sampling, "_instance_block", block)
+        sampler = ManifestSampler(self.CONDITION, builtin_registry(), 7)
+        sampler.take(sampler._CHUNK + 1)
+        next(iter(sampler))
+        assert set(idents) == {threading.get_ident()}
+        idents.clear()
+        generate_manifest(self.CONDITION, builtin_registry(), 7)
+        assert len(idents) == 6 and threading.get_ident() not in idents
+
+    def test_a_pool_far_larger_than_its_draws_matches_the_oracle(self):
+        registry = (DatasetSource("big", "D0-alignment", 200_000), DatasetSource("small", "D0-alignment", 3))
+        mix = {"big": 0.5, "small": 0.5}
+        cond = ScheduleCondition(id="few", stages=(StagePlan(1, 40, mix), StagePlan(2, 0, {"big": 1.0})))
+        manifest = generate_manifest(cond, registry, 13)
+        for rank, source in enumerate(registry):
+            mine = manifest.instances[manifest.dataset_ids == rank].tolist()
+            assert len(mine) >= 10
+            assert mine == oracle_instances(13, rank, source.size, len(mine))
+
+    @pytest.mark.parametrize("first", [0, 2500, 60999])
+    def test_a_take_to_the_schedules_end_matches_the_manifest(self, first):
+        registry = builtin_registry()
+        manifest = generate_manifest(self.CONDITION, registry, 21)
+        sampler = ManifestSampler(self.CONDITION, registry, 21)
+        sampler.take(first)
+        resumed = ManifestSampler.from_state(sampler.state())
+        tail = list(itertools.islice(manifest.events(), first, None))
+        assert sampler.take(sampler.events_remaining) == tail == resumed.take(resumed.events_remaining)
 
 
 # The six built-in dataset names with pools so small that every dataset

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import formats, reports
+from . import fields, formats, reports
 from .dynamics import DEFAULT_WINDOW, stability_summary
 from .errors import StagemixError, UsageError
 from .metrics import aggregate, comparison, convergence_step, trajectory
@@ -37,11 +37,28 @@ from .simulate import CapabilityModelSpec, synth_capability, synth_loss
 _PACKAGE = Path(__file__).parent  # an internal error names the innermost line of code in here
 
 
+def _flag_value(kind):
+    """An argparse type: a flag's text read as JSON and held to the rule of every JSON input (fields), an
+    integer for kind int and a number for kind float, as a plain int or float. `1_0` and digits of
+    other scripts, which int() and float() take, are refused; ranges are checked where values are used."""
+
+    def parse(text: str):
+        value = formats.json_value(text)
+        if not (fields.is_integer(value) if kind is int else fields.is_number(value)):
+            raise argparse.ArgumentTypeError(f"expected {fields.NOUNS[kind]}, got {text!r}")
+        return kind(value)
+
+    return parse
+
+
+_INTEGER, _NUMBER = _flag_value(int), _flag_value(float)
+
+
 def _parse_steps(text: str):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    steps = [formats.json_value(part) for part in text.split(",")]
+    if not all(map(fields.is_integer, steps)):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return tuple(steps)
 
 
 def _add_condition_args(parser) -> None:
@@ -273,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_condition_args(p)
     p.add_argument(
         "--warn-threshold",
-        type=float,
+        type=_NUMBER,
         default=0.10,
         metavar="F",
         help="flag datasets whose relative exposure deviation exceeds this (default: 0.10)",
@@ -285,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_condition_args(p)
     p.add_argument(
         "--seed",
-        type=int,
+        type=_INTEGER,
         required=True,
         metavar="N",
         help="manifest seed, an integer in [0, 2**64) (required; runs never seed themselves)",
@@ -297,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, metavar="FILE", help="loss log (JSONL, or CSV with stage sidecar)")
     p.add_argument(
         "--window",
-        type=int,
+        type=_INTEGER,
         default=DEFAULT_WINDOW,
         metavar="N",
         help=f"fluctuation window size in logged records (default: {DEFAULT_WINDOW})",
     )
     p.add_argument(
         "--spike-window",
-        type=int,
+        type=_INTEGER,
         default=None,
         metavar="N",
         help=f"spike-detection window size (default: the --window value, i.e. {DEFAULT_WINDOW})",
@@ -317,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = msub.add_parser("aggregate", help="composite scores for one snapshot")
     p.add_argument("--evals", required=True, metavar="FILE", help="eval log JSONL")
-    p.add_argument("--step", type=int, default=None, metavar="N", help="snapshot step (default: last)")
+    p.add_argument("--step", type=_INTEGER, default=None, metavar="N", help="snapshot step (default: last)")
     _add_output_args(p)
     p.set_defaults(func=_cmd_metrics_aggregate)
 
@@ -343,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evals", required=True, metavar="FILE", help="eval log JSONL")
     p.add_argument(
         "--fraction",
-        type=float,
+        type=_NUMBER,
         default=0.9,
         metavar="F",
         help="fraction of the final overall score, in (0, 1] (default: 0.9)",
@@ -358,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, metavar="FILE", help="loss simulation spec JSON")
     p.add_argument(
         "--seed",
-        type=int,
+        type=_INTEGER,
         default=None,
         metavar="N",
         help="noise seed; overrides the spec's seed (required somewhere when noise > 0)",
@@ -372,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", metavar="FILE", help="capability model spec JSON (default: built-in model)")
     p.add_argument(
         "--seed",
-        type=int,
+        type=_INTEGER,
         default=None,
         metavar="N",
         help="noise seed; overrides the spec's seed (required somewhere when noise > 0)",

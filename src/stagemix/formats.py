@@ -177,14 +177,16 @@ def _line_blocks(handle, before: int = 0):
     when none does, the one line that begins it, however long. The partial line
     after a block begins the next one. An unterminated last line is yielded as it
     is, so the block that holds it does not end in a newline. Blocks end at a
-    \\n, so none splits a \\r\\n or a UTF-8 character.
+    \\n, or at a \\r that is not the last byte read, so that a file whose lines
+    end in \\r alone is read in blocks too, and none splits a \\r\\n or a UTF-8
+    character.
     """
     tail = b""
     while True:
         buf = bytearray(_READ_BLOCK_BYTES + _PAD)
         buf[: len(tail)] = tail
         filled = len(tail) + handle.readinto(memoryview(buf)[len(tail) : _READ_BLOCK_BYTES])
-        end = buf.rfind(b"\n", 0, filled) + 1
+        end = max(buf.rfind(b"\n", 0, filled), buf.rfind(b"\r", 0, filled - 1)) + 1
         if end:
             tail = buf[end:filled]
         elif filled == len(tail):  # the end of the file
@@ -214,13 +216,15 @@ def _jsonl_columns(path, handle, columns: dict, before: int = 0) -> dict:
     as they are read, so that only a few blocks per thread are held at once. A
     block in the writers' layout is read by _jsonl_block without a dict per line:
     every line exactly `{"k1":v1,...,"km":vm}\\n` with the keys of `columns` in
-    order, integers of at most 18 digits without a leading zero, strings in
-    ASCII, and no token wider than the block's mean line, so that the words
-    gathered for a column stay within the block's size. Any other block, valid
-    or not, is read by the general rules alone (_lines, _jsonl_objects and
-    _object_columns), its lines numbered on from the file lines ahead of it;
-    they report its errors, and the first block that holds one raises. Both give
-    the same columns for every block _jsonl_block accepts.
+    order, integers of at most 18 digits without a leading zero, numbers that
+    floattext.parse's lanes hold (every float repr prints), strings in ASCII,
+    and no token wider than the block's mean line, so that the words gathered
+    for a column stay within the block's size. A block is taken whole or not at
+    all: any other block, valid or not, is read by the general rules alone
+    (_lines, _jsonl_objects and _object_columns), its lines numbered on from the
+    file lines ahead of it; they report its errors, and the first block that
+    holds one raises. Both give the same columns for every block _jsonl_block
+    accepts.
     """
 
     def parse(item):
@@ -290,17 +294,16 @@ def _jsonl_block(buf: np.ndarray, columns: dict) -> dict | None:
             piece = tag[at : at + 8]
             if ((words[field_begins[k] + at] & _FIRST[len(piece)]) != int.from_bytes(piece, "little")).any():
                 return None
-        parse = _int_tokens if kind is int else _float_tokens if kind is float else _str_tokens
-        column = parse(buf, token_begins, lengths)
-        if column is None:
-            return None
+        if kind is str:
+            column = _str_tokens(buf, token_begins, lengths)
+            if column is None:
+                return None
+        else:
+            column, left = (_int_words if kind is int else floattext.parse)(buf, token_begins, lengths)
+            if len(left):
+                return None
         out[key] = column
     return out
-
-
-def _int_tokens(buf, begins, lengths) -> np.ndarray | None:
-    values, left = _int_words(buf, begins, lengths)
-    return None if len(left) else values
 
 
 def _int_words(buf, begins, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -319,33 +322,6 @@ def _int_words(buf, begins, lengths) -> tuple[np.ndarray, np.ndarray]:
         left |= (((digits + 0x7676_7676_7676_7676) | digits) & 0x8080_8080_8080_8080) != 0
         values = values * floattext._POW10[count] + floattext._unswar8(digits)
     return values.view(np.int64), np.flatnonzero(left)
-
-
-_NUMBER_BYTES = np.zeros(256, dtype=bool)
-_NUMBER_BYTES[list(b"0123456789+-.eE,")] = True
-
-
-def _float_tokens(buf, begins, lengths) -> np.ndarray | None:
-    if lengths.min() > 24:  # no token fits floattext.parse's lanes of 24 bytes: all of them are left
-        values, left = np.empty(len(begins)), np.arange(len(begins))
-    else:
-        values, left = floattext.parse(buf, begins, lengths)
-    if len(left):
-        # The tokens parse leaves, each joined with the delimiter after it, which becomes the comma
-        # (or the closing bracket) of one JSON array, so that JSON's own grammar and rounding
-        # decide them, as on the general path.
-        sizes = lengths[left] + 1
-        stops = np.cumsum(sizes)
-        joined = buf[np.arange(stops[-1]) + np.repeat(begins[left] + sizes - stops, sizes)]
-        joined[stops - 1] = ord(",")
-        if not _NUMBER_BYTES[joined].all():
-            return None
-        joined[-1] = ord("]")
-        try:
-            values[left] = json.loads(b"[" + joined.tobytes())
-        except (ValueError, OverflowError):  # not a number, an integer of over 4300 digits or beyond float64
-            return None
-    return values
 
 
 # Odd multiplier of _str_tokens's row hash: 2**64 over the golden ratio.
@@ -667,7 +643,7 @@ def _csv_loss_columns(path, rows) -> tuple[np.ndarray, np.ndarray]:
     steps, odd_steps = _csv_column(step_cells, _int_words, np.int64)
     losses, odd_losses = _csv_column(loss_cells, floattext.parse, np.float64)
     for i in np.union1d(odd_steps, odd_losses).tolist():
-        step, loss = _csv_value(step_cells[i]), _csv_value(loss_cells[i])
+        step, loss = json_value(step_cells[i]), json_value(loss_cells[i])
         message = fields.problem(step, "step") or fields.problem(loss, "loss", float)
         if message:
             raise FormatError(f"{path}: row {i + 2} {message}")
@@ -691,8 +667,9 @@ def _csv_column(cells: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(values), np.concatenate(left)
 
 
-def _csv_value(text: str):
-    """The JSON value that a CSV cell's text spells, or else the text. JSON's digits are ASCII."""
+def json_value(text: str):
+    """The JSON value that text spells, or else the text: how a CSV loss log's cells and the command
+    line's values are read, before fields' rules check them. JSON's digits are ASCII."""
     if text.isascii():
         try:
             return json.loads(text)

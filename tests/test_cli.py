@@ -54,6 +54,11 @@ NOISY_SPEC = {
 }
 
 
+# Flag texts that int() or float() takes and the JSON rule refuses, and JSON values of other types.
+INTEGER_TEXTS = ["1_0", "\u0663", "\uff15", "5.0", "1e3", "true", '"3"']
+NUMBER_TEXTS = ["1_0.5", "\u0663.5", "nan", "inf", ".5", "5.", "true", '"0.5"', "1" + "0" * 400]
+
+
 def stagemix_process(*argv, module="stagemix", preexec_fn=None):
     """Run the CLI in a fresh interpreter, as `python -m MODULE ARGV...`."""
     env = dict(os.environ, PYTHONPATH=str(Path(stagemix.__file__).resolve().parents[1]))
@@ -714,7 +719,7 @@ class TestHostileInput:
         assert result.stderr.startswith(f"error: {path}: registry entry 1 size must be an integer")
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    @pytest.mark.parametrize("threshold", ["NaN", "1e400"])
     def test_warn_threshold_must_be_finite(self, threshold):
         result = stagemix_process("exposure", "--condition", "A", "--steps", "1,1,1", "--warn-threshold", threshold)
         assert result.returncode == 2
@@ -731,6 +736,32 @@ class TestHostileInput:
         result = stagemix_process("simulate", *argv, "--seed", "-2", "--out", str(tmp_path / "out.jsonl"))
         assert result.returncode == 2
         assert result.stderr == "error: seed must be a non-negative integer, got -2\n"
+
+    @pytest.mark.parametrize(
+        "flag, argv, values",
+        [
+            ("--seed", ["manifest", "--condition", "A", "--steps", "1,1,1", "--out", "m.jsonl"], INTEGER_TEXTS),
+            ("--seed", ["simulate", "loss", "--spec", "spec.json", "--out", "m.jsonl"], INTEGER_TEXTS),
+            ("--seed", ["simulate", "capability", "--condition", "A", "--steps", "1,1,1", "--out", "m.jsonl"], INTEGER_TEXTS),
+            ("--steps", ["validate", "--condition", "A"], [f"1,{text},1" for text in INTEGER_TEXTS]),
+            ("--window", ["analyze", "--trace", "loss.jsonl"], INTEGER_TEXTS),
+            ("--spike-window", ["analyze", "--trace", "loss.jsonl"], INTEGER_TEXTS),
+            ("--step", ["metrics", "aggregate", "--evals", "evals.jsonl"], INTEGER_TEXTS),
+            ("--warn-threshold", ["exposure", "--condition", "A", "--steps", "1,1,1"], NUMBER_TEXTS),
+            ("--fraction", ["metrics", "convergence", "--evals", "evals.jsonl"], NUMBER_TEXTS),
+        ],
+        ids=["manifest-seed", "loss-seed", "capability-seed", "steps", "window", "spike-window", "step",
+             "warn-threshold", "fraction"],
+    )
+    def test_flag_values_follow_the_json_rule(self, tmp_path, capsys, flag, argv, values):
+        # text that int() or float() would take, but that is not a JSON integer or number: a usage error
+        argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]
+        for text in values:
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, flag, text])
+            assert exc.value.code == 2
+            assert f"argument {flag}: expected " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonInput:

@@ -1,6 +1,8 @@
-"""floattext.cells prints every float64 with exactly the bytes of repr; floattext.parse, with
-json.loads for the tokens it leaves, reads every JSON number token to exactly json.loads's float64."""
+"""floattext.cells prints every float64 with exactly the bytes of repr; floattext.parse reads every
+token repr writes, and every other JSON number token its lanes hold, to exactly json.loads's float64.
+It leaves the rest, so that the column reader refuses their block, which the general rules then read."""
 
+import io
 import json
 import re
 import sys
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stagemix import StagemixError, load_loss_trace
 from stagemix.floattext import cells, parse
-from stagemix.formats import _float_tokens
+from stagemix.formats import _jsonl_columns
 
 MAX = sys.float_info.max
 MIN_NORMAL = sys.float_info.min
@@ -99,32 +102,51 @@ def test_hypothesis_floats(values):
     assert_repr(values)
 
 
-def parsed(tokens: list[bytes], key: bytes = b'{"stage":-1.5e+5,"loss":') -> np.ndarray | None:
-    """The reader's float column of the tokens, each after `key` on a line of its own, as in a loss
-    log: floattext.parse, and json.loads for the tokens it leaves. The key holds every byte class a
-    number does."""
+def parsed(tokens: list[bytes], key: bytes = b'{"stage":-1.5e+5,"loss":') -> tuple[np.ndarray, np.ndarray]:
+    """floattext.parse's (values, left) of the tokens, each after `key` on a line of its own, as the
+    column reader meets them in a loss log. The key holds every byte class a number does."""
     lines = [key + token + b"}\n" for token in tokens]
     begins = np.cumsum([0] + [len(line) for line in lines[:-1]]) + len(key)
     buf = np.frombuffer(b"".join(lines), dtype=np.uint8)
-    return _float_tokens(buf, begins, np.array([len(token) for token in tokens]))
+    return parse(buf, begins, np.array([len(token) for token in tokens]))
 
 
-def assert_json(tokens: list[bytes]):
-    """The reader gives json.loads's float64 for every token, bit for bit."""
-    want = np.array([float(json.loads(token)) for token in tokens]).view(np.uint64)
-    got = parsed(tokens).view(np.uint64)
-    wrong = [(t, g, w) for t, g, w in zip(tokens, got.tolist(), want.tolist()) if g != w]
+def loaded(tokens: list[bytes]) -> np.ndarray:
+    """The float column the reader loads from a log of the tokens, one per line."""
+    data = b"".join(b'{"loss":%s}\n' % token for token in tokens)
+    return _jsonl_columns("log.jsonl", io.BytesIO(data), {"loss": float})["loss"]
+
+
+def assert_bits(tokens: list[bytes], got: np.ndarray, want: np.ndarray):
+    wrong = [(t, g, w) for t, g, w in zip(tokens, got.view(np.uint64).tolist(), want.view(np.uint64).tolist()) if g != w]
     assert wrong == [], f"{len(wrong)} of {len(tokens)} differ, first {wrong[:3]}"
+
+
+def assert_json(tokens: list[bytes]) -> list[bytes]:
+    """The lanes give json.loads's float64 for every token they do not leave, bit for bit, and the
+    reader, which refuses a block holding a token they leave, gives it for every token. Returns the
+    tokens the lanes leave."""
+    want = np.array([float(json.loads(token)) for token in tokens])
+    values, left = parsed(tokens)
+    taken = np.ones(len(tokens), dtype=bool)
+    taken[left] = False
+    assert_bits([t for t, keep in zip(tokens, taken) if keep], values[taken], want[taken])
+    if len(left):
+        assert_bits(tokens, loaded(tokens), want)
+    return [tokens[i] for i in left.tolist()]
+
+
+# The lanes leave no token that repr writes: a log that the writer wrote is read by columns whole.
 
 
 def test_parse_powers_of_two_and_ten():
     values = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{n}") for n in range(-323, 309)]
-    assert_json(reprs(with_neighbours(values)))
+    assert assert_json(reprs(with_neighbours(values))) == []
 
 
 def test_parse_subnormal_normal_boundary():
     below = np.nextafter(MIN_NORMAL, 0.0)
-    assert_json(reprs(with_neighbours([MIN_NORMAL, below, 2 * MIN_NORMAL, MIN_NORMAL + below])))
+    assert assert_json(reprs(with_neighbours([MIN_NORMAL, below, 2 * MIN_NORMAL, MIN_NORMAL + below]))) == []
     assert_json([b"2.2250738585072011e-308", b"2.2250738585072012e-308"])
     assert_json([b"4.9406564584124654e-324", b"2.4703282292062328e-324", b"2.4703282292062327e-324"])
 
@@ -132,12 +154,12 @@ def test_parse_subnormal_normal_boundary():
 def test_parse_random_bit_patterns():
     bits = np.random.default_rng(20211).integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
-    assert_json(reprs(values[np.isfinite(values)].tolist()))
+    assert assert_json(reprs(values[np.isfinite(values)].tolist())) == []
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
 def test_parse_hypothesis_floats(values):
-    assert_json(reprs(values))
+    assert assert_json(reprs(values)) == []
 
 
 def test_parse_leaves_only_what_its_lanes_cannot_hold():
@@ -185,33 +207,48 @@ def test_parse_tokens_that_are_not_shortest():
 
 
 @pytest.mark.parametrize(
-    "token, value",
+    "token, value, lanes",
     [
-        (b"-0", 0.0),  # json reads the integer -0 as 0
-        (b"-0.0", -0.0),
-        (b"1e400", float("inf")),
-        (b"-1e-400", -0.0),
-        (b"1234567890123456789012345", 1.2345678901234568e24),  # 25 digits
-        (b"0.0000000000000000000000001234", 1.234e-25),
+        (b"-0", 0.0, True),  # json reads the integer -0 as 0
+        (b"-0.0", -0.0, True),
+        (b"1e400", float("inf"), True),
+        (b"-1e-400", -0.0, True),
+        (b"1234567890123456789012345", 1.2345678901234568e24, False),  # 25 digits: more than the lanes hold
+        (b"0.0000000000000000000000001234", 1.234e-25, False),  # 30 bytes
+        (b" 1", 1.0, False),  # spaces JSON allows around a value
+        (b"1 ", 1.0, False),
     ],
 )
-def test_parse_edges(token, value):
-    assert parsed([token]).tobytes() == np.array([value]).tobytes() == np.array([float(json.loads(token))]).tobytes()
-    # and after a token of 17 significant digits
-    assert parsed([b"3.5126547790869873", token]).tobytes() == np.array([3.5126547790869873, value]).tobytes()
+def test_parse_edges(token, value, lanes):
+    want = np.array([value]).tobytes()
+    assert np.array([float(json.loads(token))]).tobytes() == want
+    for tokens in ([token], [b"3.5126547790869873", token]):  # alone, and after a token of 17 significant digits
+        values, left = parsed(tokens)
+        assert left.tolist() == ([] if lanes else [len(tokens) - 1])
+        if lanes:
+            assert values[-1:].tobytes() == want
+        assert loaded(tokens)[-1:].tobytes() == want
 
 
 def test_parse_short_decimals_and_the_first_bytes_of_a_buffer():
     tokens = [b"2.5", b"-3.25", b"0.1", b"7", b"-0", b"0.0", b"1e-5", b"22e22"]
-    assert_json(tokens)
-    assert parsed(tokens, key=b"").tobytes() == np.array([float(json.loads(t)) for t in tokens]).tobytes()
+    assert assert_json(tokens) == []
+    values, left = parsed(tokens, key=b"")
+    assert left.tolist() == []
+    assert values.tobytes() == np.array([float(json.loads(t)) for t in tokens]).tobytes()
 
 
 @pytest.mark.parametrize(
     "token",
-    [b"01", b"1.", b".5", b"+1", b"1e", b"-", b"1e+", b"-01", b"1.e5", b"1.5.5", b"1e5e5", b"1-2", b"1+", b" 1", b"1 ",
+    [b"01", b"1.", b".5", b"+1", b"1e", b"-", b"1e+", b"-01", b"1.e5", b"1.5.5", b"1e5e5", b"1-2", b"1+",
      b"NaN", b"Infinity", b"-Infinity", b"true", b'"3.5"', b"1\xff", b"\xd9\xa3", b"1" + b"0" * 400],
 )
-def test_reader_refuses_what_is_not_a_json_number(token):
-    # a token json.loads does not read as a number, or an integer beyond float64, sends the block the general way
-    assert parsed([b"1.5", token, b"2.5"]) is None
+def test_lanes_leave_what_is_not_a_json_number(tmp_path, token):
+    # a token json.loads does not read as a number, or reads as one beyond float64: the lanes leave it, the
+    # column reader refuses its block, and the general rules refuse the log
+    tokens = [b"1.5", token, b"2.5"]
+    assert parsed(tokens)[1].tolist() == [1]
+    path = tmp_path / "loss.jsonl"
+    path.write_bytes(b"".join(b'{"step":%d,"stage":1,"loss":%s}\n' % (step, t) for step, t in enumerate(tokens)))
+    with pytest.raises(StagemixError):
+        load_loss_trace(path)

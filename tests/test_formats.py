@@ -553,28 +553,29 @@ class TestColumnReader:
         general = general_columns(data, columns)
         assert general["step"].tolist() == list(range(2000))
 
-    def test_a_long_loss_stays_on_the_column_path(self):
-        # 25 digits are more than the parser's lanes hold: that token alone takes json.loads
+    def test_a_long_loss_sends_its_block_the_general_way(self, tmp_path):
+        # 25 digits are more than the parser's lanes hold: the block that holds the token is refused whole
         lines = ['{"step":%d,"stage":1,"loss":%r}' % (i, 0.5 + i / 7) for i in range(200)]
         lines[7] = '{"step":7,"stage":1,"loss":1234567890123456789012345}'
         data = ("\n".join(lines) + "\n").encode()
-        fast = jsonl_columns(data, LOSS_COLUMNS)
-        assert fast is not None
-        assert fast["loss"][7:8].tobytes() == np.array([float(json.loads("1234567890123456789012345"))]).tobytes()
-        assert_same_columns(fast, general_columns(data, LOSS_COLUMNS))
+        assert jsonl_columns(data, LOSS_COLUMNS) is None
+        path = tmp_path / "loss.jsonl"
+        path.write_bytes(data)
+        got = loaded_columns(load_loss_trace, path)
+        assert got["loss"][7:8].tobytes() == np.array([float(json.loads("1234567890123456789012345"))]).tobytes()
+        assert_same_columns(got, general_columns(data, LOSS_COLUMNS))
 
-    def test_a_log_of_long_losses_reads_json_values(self, monkeypatch, tmp_path):
-        # 21 significant digits in 26 or 27 bytes: no token fits the parser's lanes, so json.loads reads them all
+    def test_a_log_of_long_losses_reads_json_values(self, tmp_path):
+        # 21 significant digits in 26 or 27 bytes: no token fits the parser's lanes, so the general rules read the log
         rng = np.random.default_rng(5)
         tokens = [b"%.20e" % v for v in rng.standard_normal(3000) * 10.0 ** rng.integers(-30, 30, 3000)]
         data = b"".join(b'{"step":%d,"stage":1,"loss":%s}\n' % (i, token) for i, token in enumerate(tokens))
+        assert jsonl_columns(data, LOSS_COLUMNS) is None
         path = tmp_path / "loss.jsonl"
         path.write_bytes(data)
-        parse, calls = floattext.parse, []
-        monkeypatch.setattr(floattext, "parse", lambda *args: calls.append(1) or parse(*args))
-        assert jsonl_columns(data, LOSS_COLUMNS) is not None
-        assert load_loss_trace(path).losses.tobytes() == np.array([json.loads(token) for token in tokens]).tobytes()
-        assert calls == []
+        got = loaded_columns(load_loss_trace, path)
+        assert got["loss"].tobytes() == np.array([json.loads(token) for token in tokens]).tobytes()
+        assert_same_columns(got, general_columns(data, LOSS_COLUMNS))
 
     @pytest.mark.parametrize(
         "text",
@@ -857,6 +858,21 @@ class TestBlockFallback:
                     load(path)
                 assert str(got.value) == f"{path}: {str(want.value).removeprefix('log.jsonl: ')}"
 
+    def test_a_long_loss_refuses_only_its_own_block(self, monkeypatch, tmp_path):
+        # a loss of 25 digits, more than the parser's lanes hold, in one line of the middle; a manifest holds no loss
+        monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 256)
+        (_, path, data, _, _), _ = block_files(tmp_path)
+        lines = data.splitlines(keepends=True)
+        at = len(lines) // 2
+        lines[at] = re.sub(rb'"loss":[^}]*', b'"loss":1234567890123456789012345', lines[at])
+        data = b"".join(lines)
+        path.write_bytes(data)
+        refused = refused_blocks(monkeypatch)
+        got = loaded_columns(load_loss_trace, path)
+        assert refused.count(True) == 1 and refused.count(False) > 10
+        assert got["loss"][at] == 1.2345678901234568e24
+        assert_same_columns(got, general_columns(data, LOSS_COLUMNS))
+
     def test_of_two_faults_the_first_in_block_order_is_reported(self, monkeypatch, tmp_path):
         monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 256)
         (_, log, data, _, _), (_, manifest, events, _, _) = block_files(tmp_path)
@@ -902,11 +918,12 @@ class TestStreamedReader:
         assert results == items
         assert idents == [threading.get_ident()] * len(items)
 
-    @pytest.mark.parametrize("spaced", [False, True], ids=["compact", "spaced"])
+    @pytest.mark.parametrize("layout", ["compact", "spaced", "cr"])
     @pytest.mark.parametrize("load", [read_manifest, load_loss_trace])
-    def test_reading_holds_less_than_the_file(self, monkeypatch, tmp_path, load, spaced):
+    def test_reading_holds_less_than_the_file(self, monkeypatch, tmp_path, load, layout):
         # about 4 MB in blocks of 64 KB on two threads: what stays is the columns and a few blocks, read by
-        # the column reader, or, in json.dumps's default layout, by the general rules a block at a time
+        # the column reader, or, in json.dumps's default layout or with lines that end in \r alone, by the
+        # general rules a block at a time
         monkeypatch.setattr(formats, "_READ_BLOCK_BYTES", 1 << 16)
         monkeypatch.setattr(threads, "_usable_cpus", lambda: 2)
         path = tmp_path / "file.jsonl"
@@ -918,8 +935,10 @@ class TestStreamedReader:
             write_manifest(generate_manifest(condition, registry, seed=3), path)
         else:
             save_loss_trace(random_trace(3, 80_000), path)
-        if spaced:
+        if layout == "spaced":
             path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in path.read_text().splitlines()))
+        elif layout == "cr":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
         load(path)  # tables built on first use stay out of the measure
         tracemalloc.start()
         try:
@@ -1003,7 +1022,7 @@ class TestWordBoundaries:
         path = tmp_path / "loss.csv"
         path.write_text(f"step,loss\n{token},0.5\n")
         (tmp_path / "loss.stages.json").write_text('{"boundaries": [{"stage": 1, "start_step": -9223372036854775808}]}')
-        value = formats._csv_value(token)
+        value = formats.json_value(token)
         message = formats.fields.problem(value, "step")
         if message is None:
             assert load_loss_trace(path).steps.tolist() == [value]

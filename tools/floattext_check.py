@@ -11,8 +11,9 @@ infinite) it checks, bit for bit or byte for byte:
   (not the shortest text, so that parse's 64-bit significands hold up to 19 digits);
 * parse(cells(x)) == x, for every finite x.
 
-A lane that parse leaves to its caller (who reads it with json.loads) counts
-as a mismatch, since none of these tokens is beyond its lanes. It prints one
+A lane that parse leaves to its caller (the column reader, which then reads
+the token's whole block by the general JSON rules) counts as a mismatch, since
+none of these tokens is beyond its lanes. It prints one
 line per check and exits 1 if any check found a mismatch.
 """
 

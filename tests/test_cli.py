@@ -742,7 +742,8 @@ class TestHostileInput:
         [
             ("--seed", ["manifest", "--condition", "A", "--steps", "1,1,1", "--out", "m.jsonl"], INTEGER_TEXTS),
             ("--seed", ["simulate", "loss", "--spec", "spec.json", "--out", "m.jsonl"], INTEGER_TEXTS),
-            ("--seed", ["simulate", "capability", "--condition", "A", "--steps", "1,1,1", "--out", "m.jsonl"], INTEGER_TEXTS),
+            ("--seed", ["simulate", "capability", "--condition", "A", "--steps", "1,1,1", "--out", "e.jsonl"],
+             INTEGER_TEXTS),
             ("--steps", ["validate", "--condition", "A"], [f"1,{text},1" for text in INTEGER_TEXTS]),
             ("--window", ["analyze", "--trace", "loss.jsonl"], INTEGER_TEXTS),
             ("--spike-window", ["analyze", "--trace", "loss.jsonl"], INTEGER_TEXTS),

@@ -118,7 +118,8 @@ def loaded(tokens: list[bytes]) -> np.ndarray:
 
 
 def assert_bits(tokens: list[bytes], got: np.ndarray, want: np.ndarray):
-    wrong = [(t, g, w) for t, g, w in zip(tokens, got.view(np.uint64).tolist(), want.view(np.uint64).tolist()) if g != w]
+    pairs = zip(tokens, got.view(np.uint64).tolist(), want.view(np.uint64).tolist())
+    wrong = [(t, g, w) for t, g, w in pairs if g != w]
     assert wrong == [], f"{len(wrong)} of {len(tokens)} differ, first {wrong[:3]}"
 
 
@@ -243,7 +244,7 @@ def test_parse_short_decimals_and_the_first_bytes_of_a_buffer():
     [b"01", b"1.", b".5", b"+1", b"1e", b"-", b"1e+", b"-01", b"1.e5", b"1.5.5", b"1e5e5", b"1-2", b"1+",
      b"NaN", b"Infinity", b"-Infinity", b"true", b'"3.5"', b"1\xff", b"\xd9\xa3", b"1" + b"0" * 400],
 )
-def test_lanes_leave_what_is_not_a_json_number(tmp_path, token):
+def test_reader_refuses_what_is_not_a_json_number(tmp_path, token):
     # a token json.loads does not read as a number, or reads as one beyond float64: the lanes leave it, the
     # column reader refuses its block, and the general rules refuse the log
     tokens = [b"1.5", token, b"2.5"]

@@ -46,7 +46,7 @@ from stagemix import (
     write_manifest,
     write_trajectory_csv,
 )
-from stagemix import DatasetSource, ScheduleCondition, StagePlan, floattext, formats, threads
+from stagemix import DatasetSource, ScheduleCondition, StagePlan, formats, threads
 from stagemix.formats import (
     _BLOCK_ROWS,
     EVENT_COLUMNS,
